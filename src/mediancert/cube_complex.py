@@ -2,11 +2,15 @@
 
 A wall is an equivalence class of edges under the relation
 (a,b) ~ (c,d)  iff  d(a,c) + d(b,d) != d(a,d) + d(b,c),
-which on median graphs is transitive and splits the vertices into two
-convex half-spaces per class.  Cube paths walk from a vertex toward a
-target, at each step crossing every wall that is dual to an edge at the
-current vertex and still separates it from the target; those walls
-pairwise cross, so the step lands on the opposite corner of a cube.
+or equally a split {v : d(v,a) < d(v,b)} shared by its edges.  Walls
+and their sides are read off the sign codes of median_core; the code
+check there is exact (Hamming distance equals graph distance for every
+pair), and on a graph that passes it the relation is transitive and
+both sides of every wall are convex, so neither needs its own check.
+Cube paths walk from a vertex toward a target, at each step crossing
+every wall that is dual to an edge at the current vertex and still
+separates it from the target; those walls pairwise cross, so the step
+lands on the opposite corner of a cube.
 """
 
 from __future__ import annotations
@@ -17,9 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CornerFailure, NotMedian
-from .median_core import TABLE_LIMIT, MedianGraph, VertexSet, _pack_mask
-
-CONVEXITY_SAMPLE = 4000
+from .median_core import MedianGraph, VertexSet
 
 
 @dataclass(frozen=True)
@@ -47,40 +49,10 @@ def _edge_relation(g: MedianGraph) -> np.ndarray:
     return lhs != rhs
 
 
-def _check_convex(g: MedianGraph, side: np.ndarray, wall_index: int) -> None:
-    """Convexity of one side, exact on small graphs, sampled above."""
-    idx = np.flatnonzero(side)
-    if g.n <= TABLE_LIMIT:
-        packed = g.packed_intervals()
-        own = np.packbits(side, bitorder="little")
-        sub = packed[np.ix_(idx, idx)]
-        if np.any(sub & ~own[None, None, :]):
-            raise NotMedian(
-                f"side of wall {wall_index} is not interval-closed",
-                wall=wall_index,
-            )
-        return
-    rng = random.Random(97 + wall_index)
-    for _ in range(min(CONVEXITY_SAMPLE, len(idx) * len(idx))):
-        u = int(idx[rng.randrange(len(idx))])
-        v = int(idx[rng.randrange(len(idx))])
-        if np.any(g.interval_row(u, v) & ~side):
-            raise NotMedian(
-                f"side of wall {wall_index} is not interval-closed",
-                wall=wall_index, pair=(u, v),
-            )
-
-
-def hyperplanes(g: MedianGraph) -> list[Hyperplane]:
-    """All walls, in order of their smallest dual edge.  Raises
-    NotMedian when the edge relation is intransitive, a class fails to
-    split the graph in two, or a side fails the convexity check."""
-    if g._hyperplanes is not None:
-        return g._hyperplanes
-    if not g.edges:
-        g._hyperplanes = []
-        g._edge_to_wall = {}
-        return []
+def _raise_wall_failure(g: MedianGraph) -> None:
+    """Name why a graph without sign codes has no wall structure: an
+    odd cycle, or an edge pair the relation joins only transitively (a
+    bipartite graph with a transitive relation is a partial cube)."""
     color = g.dist[0] % 2
     for u, v in g.edges:
         if color[u] == color[v]:
@@ -102,10 +74,7 @@ def hyperplanes(g: MedianGraph) -> list[Hyperplane]:
     classes: dict[int, list[int]] = {}
     for i in range(m):
         classes.setdefault(find(i), []).append(i)
-    walls = []
-    edge_to_wall: dict[tuple[int, int], int] = {}
-    d = g.dist
-    for index, root in enumerate(sorted(classes)):
+    for root in sorted(classes):
         members = classes[root]
         sub = rel[np.ix_(members, members)]
         if not sub.all():
@@ -114,29 +83,37 @@ def hyperplanes(g: MedianGraph) -> list[Hyperplane]:
                 "edge relation is not transitive",
                 edges=(g.edges[members[int(i)]], g.edges[members[int(j)]]),
             )
-        a, b = g.edges[members[0]]
-        near_a = d[:, a] < d[:, b]
-        near_b = d[:, b] < d[:, a]
-        if not np.array_equal(near_a, ~near_b):
-            tie = int(np.flatnonzero(near_a == near_b)[0])
-            raise NotMedian("wall does not split the graph", wall=index, vertex=tie)
-        for ei in members:
-            u, v = g.edges[ei]
-            if near_a[u] == near_a[v]:
-                raise NotMedian("dual edge fails to cross its wall", wall=index, edge=(u, v))
-            edge_to_wall[(u, v)] = index
-        _check_convex(g, near_a, index)
-        _check_convex(g, near_b, index)
+    raise AssertionError("a bipartite graph with a transitive edge relation is a partial cube")
+
+
+def hyperplanes(g: MedianGraph) -> list[Hyperplane]:
+    """All walls, in order of their smallest dual edge; the minus side
+    is the side of that edge's smaller endpoint.  Raises NotMedian
+    when the graph has no sign codes, naming an odd cycle or an
+    intransitive edge pair."""
+    if g._hyperplanes is not None:
+        return g._hyperplanes
+    codes = g.wall_codes()
+    if codes is None:
+        _raise_wall_failure(g)
+    plus = np.packbits(codes.sides().T, axis=1, bitorder="little")
+    full = (1 << g.n) - 1
+    members: list[list[tuple[int, int]]] = [[] for _ in range(codes.count)]
+    for e, w in zip(g.edges, codes.edge_wall.tolist()):
+        members[w].append(e)
+    walls = []
+    for index, row in enumerate(plus):
+        mask = int.from_bytes(row.tobytes(), "little")
         walls.append(
             Hyperplane(
                 index=index,
-                edges=frozenset(g.edges[ei] for ei in members),
-                minus_side=VertexSet(g.n, _pack_mask(near_a)),
-                plus_side=VertexSet(g.n, _pack_mask(near_b)),
+                edges=frozenset(members[index]),
+                minus_side=VertexSet(g.n, full & ~mask),
+                plus_side=VertexSet(g.n, mask),
             )
         )
     g._hyperplanes = walls
-    g._edge_to_wall = edge_to_wall
+    g._edge_to_wall = dict(zip(g.edges, codes.edge_wall.tolist()))
     return walls
 
 

@@ -8,6 +8,17 @@ MedianViolation where a computation witnesses its failure.
 Distances come from an all-pairs BFS table computed once at
 construction.  Vertex sets are fixed-width bitsets so interval and hull
 computations reduce to word-parallel integer arithmetic.
+
+Walls and medians come from sign codes.  Each edge (a, b) splits the
+vertices into those closer to a and those closer to b; the distinct
+splits are the walls, and a vertex's code has one bit per wall naming
+its side.  When the Hamming distance of every two codes equals the graph
+distance, the graph is an isometric subgraph of a hypercube (a partial
+cube): its wall sides are then convex, and the vertices on all three
+geodesics between x, y and z are exactly those whose code is the bitwise
+majority of theirs, so each median is one majority and one lookup.
+Graphs that fail the check are not median; a dense interval scan only
+names their first bad triple.
 """
 
 from __future__ import annotations
@@ -24,9 +35,130 @@ from .errors import BudgetExceeded, MedianViolation, NotFound, ReductionFailure
 # graphs up to this size; everything else computes rows on demand.
 TABLE_LIMIT = 256
 
+# Working-set cap of one step of the code scans, in uint64 words.
+_BLOCK_WORDS = 1 << 20
+
+_MASK64 = (1 << 64) - 1
+
 
 def _pack_mask(row: np.ndarray) -> int:
     return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+
+
+def _hash_multipliers(attempt: int, words: int) -> np.ndarray:
+    """The attempt-th fixed set of odd 64-bit multipliers, one per code
+    word (splitmix64 from a fixed start)."""
+    state = attempt * 0x9E3779B97F4A7C15 & _MASK64
+    out = []
+    for _ in range(words):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = state
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+        out.append(z ^ z >> 31 | 1)
+    return np.array(out, dtype=np.uint64)
+
+
+class WallCodes:
+    """Sign codes of a partial cube, one bit per wall: bit w % 64 of
+    ``planes[w // 64][v]`` is set when v lies on the plus side of wall
+    w, the side of the larger endpoint of the wall's smallest dual edge.
+    Word planes keep scans on long contiguous rows.  ``edge_wall[i]`` is
+    the wall dual to ``edges[i]``.
+
+    ``locate`` maps codes back to vertices through a slot table of
+    n² to 2n² entries, built on first use.  A code's key is the code
+    itself for one word, else a multiply-add hash over its words; its
+    slot is the top bits of the key times an odd multiplier.  The first
+    fixed multiplier set that gives the n vertices n distinct slots is
+    kept.  Every hit is compared word by word, so the hash can cost time
+    but never a wrong vertex."""
+
+    __slots__ = ("planes", "edge_wall", "count", "_mult", "_shift", "_slots")
+
+    def __init__(self, planes: np.ndarray, edge_wall: np.ndarray, count: int):
+        self.planes = planes
+        self.edge_wall = edge_wall
+        self.count = count
+        self._slots = None
+
+    def _build_slots(self) -> None:
+        n = self.planes.shape[1]
+        bits = (n * n).bit_length()
+        self._shift = np.uint64(64 - bits)
+        self._slots = np.zeros(1 << bits, dtype=np.int32)
+        for attempt in range(64):
+            self._mult = _hash_multipliers(attempt, len(self.planes) + 1)
+            slot = self._slot(self.planes)
+            if len(np.unique(slot)) == n:
+                self._slots[slot] = np.arange(n)
+                return
+        raise RuntimeError("no multiplier set separates the vertex codes")
+
+    def _slot(self, words: np.ndarray) -> np.ndarray:
+        if len(words) == 1:
+            key = words[0] * self._mult[0]
+        else:
+            key = np.zeros(words[0].shape, dtype=np.uint64)
+            for word, mult in zip(words, self._mult[1:]):
+                # fold the high half down first: a product alone never
+                # carries a difference in high bits to the low ones
+                z = word >> np.uint64(32)
+                z ^= word
+                z *= mult
+                key += z
+            key *= self._mult[0]
+        key >>= self._shift
+        return key
+
+    def locate(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(v, hit) for codes given as word planes (words[j] is word j):
+        hit is True where some vertex has that code, and v is that
+        vertex there."""
+        if self._slots is None:
+            self._build_slots()
+        v = self._slots[self._slot(words)]
+        hit = (np.take(self.planes, v, axis=1) == words).all(axis=0)
+        return v, hit
+
+    def sides(self) -> np.ndarray:
+        """bool array (n, count): True where a vertex is on the plus side."""
+        raw = np.ascontiguousarray(self.planes.T).view(np.uint8)
+        return np.unpackbits(raw, axis=1, count=self.count, bitorder="little").astype(bool)
+
+
+def _wall_codes(dist: np.ndarray, edges) -> WallCodes | None:
+    """Codes from one split per edge, or None when their Hamming
+    distances differ from ``dist`` somewhere (not a partial cube)."""
+    n = dist.shape[0]
+    if not edges:
+        return WallCodes(np.zeros((1, n), dtype=np.uint64), np.zeros(0, dtype=np.intp), 0)
+    ea = np.fromiter((e[0] for e in edges), dtype=np.intp, count=len(edges))
+    eb = np.fromiter((e[1] for e in edges), dtype=np.intp, count=len(edges))
+    key = np.empty((len(edges), (n + 7) // 8), dtype=np.uint8)
+    step = max(1, _BLOCK_WORDS // n)
+    for lo in range(0, len(edges), step):
+        near = dist[:, ea[lo:lo + step]] < dist[:, eb[lo:lo + step]]
+        # a split and its complement are one wall: key each by the side of 0
+        key[lo:lo + step] = np.packbits(near ^ near[0], axis=0, bitorder="little").T
+    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    by_edge = np.argsort(first)  # wall index -> unique split
+    wall_of = np.empty_like(by_edge)
+    wall_of[by_edge] = np.arange(len(by_edge))
+    edge_wall = wall_of[inverse.reshape(-1)]
+    lead = first[by_edge]
+    plus = dist[:, ea[lead]] >= dist[:, eb[lead]]
+    count = plus.shape[1]
+    words = -(-count // 64)
+    raw = np.zeros((n, 8 * words), dtype=np.uint8)
+    raw[:, : (count + 7) // 8] = np.packbits(plus, axis=1, bitorder="little")
+    planes = np.ascontiguousarray(raw.view("<u8").T)
+    step = max(1, _BLOCK_WORDS // (n * words))
+    for lo in range(0, n, step):
+        ham = np.bitwise_count(planes[:, lo:lo + step, None] ^ planes[:, None, :]).sum(axis=0)
+        if not np.array_equal(ham, dist[lo:lo + step]):
+            return None
+    return WallCodes(planes, edge_wall, count)
 
 
 class VertexSet:
@@ -124,6 +256,7 @@ class MedianGraph:
         self._interval_cache: dict[tuple[int, int], int] = {}
         self._median_table: np.ndarray | None = None
         self._packed_intervals: np.ndarray | None = None
+        self._codes: WallCodes | bool | None = None  # False: not a partial cube
         self._hyperplanes = None  # filled by cube_complex
         self._rank: int | None = None
 
@@ -211,28 +344,139 @@ class MedianGraph:
             self._packed_intervals = p
         return self._packed_intervals
 
+    def wall_codes(self) -> WallCodes | None:
+        """Sign codes of the walls, or None when the graph is not a
+        partial cube (and so not median)."""
+        if self._codes is None:
+            self._codes = _wall_codes(self.dist, self.edges) or False
+        return self._codes or None
+
+    def _majority_blocks(self, codes: WallCodes):
+        """Medians of the sorted triples, x ascending.  Yields (x, y0,
+        meds) with meds[i, j] the median of (x, y0 + i, y0 + j): each
+        block of rows y >= x meets the columns z >= y0, which covers
+        every sorted triple once and a small corner twice.  Raises
+        MedianViolation at the first triple whose majority code is no
+        vertex's.  Badness does not depend on the order of the three, so
+        that triple is also the first bad one in lexicographic order."""
+        planes = codes.planes
+        words, n = planes.shape
+        for x in range(n):
+            # maj(x, y, z) = (y & (z | x)) | (z & x), one plane per word
+            either = planes[:, x:] | planes[:, x, None]
+            both = planes[:, x:] & planes[:, x, None]
+            k = n - x
+            # about four row blocks per x: most of the triangle's saving
+            # for a few numpy calls more
+            step = max(1, min(max(32, -(-k // 4)), _BLOCK_WORDS // (k * words)))
+            for lo in range(0, k, step):
+                ys = planes[:, x + lo:x + lo + step, None]
+                meds, hit = codes.locate((ys & either[:, None, lo:]) | both[:, None, lo:])
+                if not hit.all():
+                    i, j = np.argwhere(~hit)[0]
+                    y, z = x + lo + int(i), x + lo + int(j)
+                    raise MedianViolation(
+                        f"triple ({x},{y},{z}) has 0 geodesic meeting points",
+                        triple=(x, y, z), candidates=[],
+                    )
+                yield x, x + lo, meds
+
+    def _raise_first_violation(self) -> None:
+        """Dense interval scan of the sorted triples, for graphs that
+        are not partial cubes: raises MedianViolation at the first
+        triple whose three intervals do not meet in exactly one vertex.
+        Uses the packed interval table up to TABLE_LIMIT and computes
+        the rows it needs above."""
+        n, d = self.n, self.dist
+        packed = self.packed_intervals() if n <= TABLE_LIMIT else None
+
+        def rows(a, zs):
+            # packed I(a, z) for z in zs, one row per a
+            if packed is not None:
+                return packed[a][:, zs]
+            iv = d[a][:, None, :] + d[zs][None, :, :] == d[np.ix_(a, zs)][:, :, None]
+            return np.packbits(iv, axis=2, bitorder="little")
+
+        for x in range(n):
+            zs = np.arange(x, n)
+            from_x = rows(np.array([x]), zs)[0]
+            step = max(1, _BLOCK_WORDS // ((n - x) * n))
+            for lo in range(0, n - x, step):
+                ys = zs[lo:lo + step]
+                meet = rows(ys, zs) & from_x[lo:lo + step, None, :] & from_x[None, :, :]
+                counts = np.bitwise_count(meet).sum(axis=2)
+                bad = np.argwhere(counts != 1)
+                if len(bad):
+                    i, j = (int(v) for v in bad[0])
+                    bits = np.unpackbits(meet[i, j], bitorder="little", count=n)
+                    raise MedianViolation(
+                        f"triple ({x},{ys[i]},{zs[j]}) has {int(counts[i, j])} geodesic meeting points",
+                        triple=(x, int(ys[i]), int(zs[j])),
+                        candidates=[int(v) for v in np.flatnonzero(bits)],
+                    )
+        raise AssertionError("a graph that is not a partial cube has a bad triple")
+
+    def _squares_close(self, codes: WallCodes) -> bool:
+        """True when maj(u, v, w) is a vertex's code for every u and
+        every pair v, w at distance 2.  On a partial cube that makes
+        every majority a code, so the graph is median.  Induction on
+        d(v, w) = k > 2: take a geodesic from v to w.  If its first step
+        crosses a wall on which u sides with w, v's successor gives the
+        same majority at distance k - 1; likewise the last step with w's
+        predecessor.  Otherwise some crossing of a wall on which u sides
+        with w directly follows one on which u sides with v.  The
+        majority of u with the two ends of those two steps is a vertex,
+        and the geodesic through it crosses the two walls the other way
+        round.  Enough such swaps bring one of the first kind to the
+        front."""
+        planes = codes.planes
+        words, n = planes.shape
+        v, w = np.nonzero(np.triu(self.dist == 2))
+        either = planes[:, v] | planes[:, w]
+        both = planes[:, v] & planes[:, w]
+        us = planes[:, :, None]
+        step = max(1, _BLOCK_WORDS // (n * words))
+        for lo in range(0, len(v), step):
+            pairs = slice(lo, lo + step)
+            _, hit = codes.locate((us & either[:, None, pairs]) | both[:, None, pairs])
+            if not hit.all():
+                return False
+        return True
+
+    def verify_medians(self) -> None:
+        """Raise MedianViolation at the first triple (lexicographic)
+        without a unique median.  No size cap, and no table is kept.
+        The triples with a pair at distance 2 settle a median graph; the
+        full scan runs only to name the witness."""
+        if self._median_table is not None:
+            return
+        codes = self.wall_codes()
+        if codes is None:
+            self._raise_first_violation()
+        if self._squares_close(codes):
+            return
+        for _ in self._majority_blocks(codes):
+            pass
+
     def median_table(self) -> np.ndarray:
         """int16 array (n, n, n) of all medians; raises MedianViolation
         on the first triple without a unique one.  Small graphs only."""
         if self._median_table is None:
             if self.n > TABLE_LIMIT:
                 raise BudgetExceeded(f"median table disabled above {TABLE_LIMIT} vertices", n=self.n)
-            p = self.packed_intervals()
+            codes = self.wall_codes()
+            if codes is None:
+                self._raise_first_violation()
             tab = np.empty((self.n, self.n, self.n), dtype=np.int16)
-            for x in range(self.n):
-                # meet[y, z, :] packs I(x,y) & I(x,z) & I(y,z)
-                meet = p[x][:, None, :] & p[x][None, :, :] & p
-                bits = np.unpackbits(meet, axis=2, bitorder="little", count=self.n)
-                counts = bits.sum(axis=2)
-                bad = np.argwhere(counts != 1)
-                if len(bad):
-                    y, z = (int(v) for v in bad[0])
-                    raise MedianViolation(
-                        f"triple ({x},{y},{z}) has {int(counts[y, z])} geodesic meeting points",
-                        triple=(x, y, z),
-                        candidates=[int(c) for c in np.flatnonzero(bits[y, z])],
-                    )
-                tab[x] = bits.argmax(axis=2)
+            for x, y0, meds in self._majority_blocks(codes):
+                # each triple whose smallest entry is x, in all six orders
+                ys, zs, back = slice(y0, y0 + len(meds)), slice(y0, None), meds.T
+                tab[x, ys, zs] = meds
+                tab[x, zs, ys] = back
+                tab[ys, x, zs] = meds
+                tab[zs, x, ys] = back
+                tab[ys, zs, x] = meds
+                tab[zs, ys, x] = back
             self._median_table = tab
         return self._median_table
 

@@ -32,13 +32,24 @@ from .median_core import MedianGraph, VertexSet
 class SparseL1Vector:
     """Finitely supported map point -> nonnegative rational."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_scaled")
 
     def __init__(self, entries: dict[int, Fraction]):
         self.entries = {k: v for k, v in entries.items() if v != 0}
         for v in self.entries.values():
             if v < 0:
                 raise ValueError("negative entry")
+        self._scaled: tuple[int, dict[int, int]] | None = None
+
+    def _common(self) -> tuple[int, dict[int, int]]:
+        """(den, nums) with every entry equal to nums[k] / den."""
+        if self._scaled is None:
+            den = math.lcm(*(v.denominator for v in self.entries.values()))
+            self._scaled = (
+                den,
+                {k: v.numerator * (den // v.denominator) for k, v in self.entries.items()},
+            )
+        return self._scaled
 
     def __getitem__(self, k: int) -> Fraction:
         return self.entries.get(k, Fraction(0))
@@ -50,10 +61,13 @@ class SparseL1Vector:
         return sum(self.entries.values(), Fraction(0))
 
     def l1_distance(self, other: "SparseL1Vector") -> Fraction:
-        total = Fraction(0)
-        for k in self.entries.keys() | other.entries.keys():
-            total += abs(self[k] - other[k])
-        return total
+        # integers over one common denominator: the same exact sum
+        da, a = self._common()
+        db, b = other._common()
+        den = math.lcm(da, db)
+        fa, fb = den // da, den // db
+        total = sum(abs(a.get(k, 0) * fa - b.get(k, 0) * fb) for k in a.keys() | b.keys())
+        return Fraction(total, den)
 
 
 def chi(a) -> SparseL1Vector:
@@ -169,16 +183,18 @@ def verify_conditions(provider, n: int, sample, max_pairs: int | None = None) ->
     saturated = 0
     base = provider.basepoint
     for x in sample:
+        reach = None  # union of the sets at x: the radius is its farthest member
         for k in range(1, 3 * n + 1):
             s = provider.sets(x, k, n)
             if len(s) == 0:
                 raise ConditionViolation(f"S({x},{k},{n}) is empty", x=x, k=k, n=n)
-            far = max(math.ceil(provider.distance(x, z)) for z in s)
-            radius = max(radius, far)
+            reach = s if reach is None else reach | s
             p_n = max(p_n, len(s))
             p_by_k[k] = max(p_by_k.get(k, 0), len(s))
             if len(s) == 1 and base in s:
                 saturated += 1
+        if reach is not None:
+            radius = max(radius, max(math.ceil(provider.distance(x, z)) for z in reach))
     pairs = []
     for i, x in enumerate(sample):
         for y in sample[i + 1:]:
@@ -280,51 +296,58 @@ CSV_HEADER = [
 
 def _check_pair_chain(provider, x, y, m, n, p_n, xis) -> tuple[Fraction, Fraction]:
     """Exact inequality chain for one center pair; returns the measured
-    variation and the rational ratio bound."""
+    variation and the rational ratio bound.  Per radius k, with
+    I = |S_x & S_y|, M = max(|S_x|, |S_y|) and inner/outer sizes a/b,
+    the norm is 2(M-I)/M and the ratio a/b; every comparison is made on
+    integers after clearing denominators."""
     var = xis[x].l1_distance(xis[y])
-    sum_norm = Fraction(0)
-    ratios = []
+    gaps, widths, inners, outers = [], [], [], []
     for k in range(n + 1, 2 * n + 1):
         sx, sy = provider.sets(x, k, n), provider.sets(y, k, n)
         inner = provider.sets(x, k - m, n)
         outer = provider.sets(x, k + m, n)
-        if not (inner <= (sx & sy) and (sx | sy) <= outer):
+        both = sx & sy
+        if not (inner <= both and (sx | sy) <= outer):
             raise ConditionViolation(
                 "nesting failed inside the certificate chain",
                 x=x, y=y, k=k, n=n, m=m,
             )
-        norm = 2 * (1 - Fraction(len(sx & sy), max(len(sx), len(sy))))
-        sum_norm += norm
-        ratio = Fraction(len(inner), len(outer))
-        ratios.append(ratio)
-        if norm > 2 * (1 - ratio):
+        width = max(len(sx), len(sy))
+        a, b = len(inner), len(outer)
+        # norm > 2 * (1 - ratio)
+        if (width - len(both)) * b > (b - a) * width:
             raise ConditionViolation(
                 "per-radius norm exceeds its ratio bound",
                 x=x, y=y, k=k, n=n, m=m,
             )
-    mean = sum(ratios, Fraction(0)) / n
+        gaps.append(width - len(both))
+        widths.append(width)
+        inners.append(a)
+        outers.append(b)
+    norm_den = math.lcm(*widths)
+    mean_norm = Fraction(2 * sum(g * (norm_den // w) for g, w in zip(gaps, widths)), n * norm_den)
+    ratio_den = math.lcm(*outers)
+    ratio_sum = sum(a * (ratio_den // b) for a, b in zip(inners, outers))
+    mean = Fraction(ratio_sum, n * ratio_den)
     bound = 2 * (1 - mean)
-    if var > sum_norm / n or sum_norm / n > bound:
+    if var > mean_norm or mean_norm > bound:
         raise ConditionViolation(
             "variation chain is out of order", x=x, y=y, n=n, m=m,
         )
-    prod = math.prod(ratios)
-    if mean**n < prod:
+    # the ratio product is prod_a / prod_b
+    prod_a, prod_b = math.prod(inners), math.prod(outers)
+    if mean.numerator**n * prod_b < prod_a * mean.denominator**n:
         raise ConditionViolation(
             "mean-vs-product inequality failed", x=x, y=y, n=n, m=m,
         )
     if 2 * m <= n:
-        head = math.prod(
-            Fraction(len(provider.sets(x, j, n))) for j in range(n + 1 - m, n + m + 1)
-        )
-        tail = math.prod(
-            Fraction(len(provider.sets(x, j, n))) for j in range(2 * n + 1 - m, 2 * n + m + 1)
-        )
-        if prod != head / tail:
+        head = math.prod(len(provider.sets(x, j, n)) for j in range(n + 1 - m, n + m + 1))
+        tail = math.prod(len(provider.sets(x, j, n)) for j in range(2 * n + 1 - m, 2 * n + m + 1))
+        if prod_a * tail != head * prod_b:
             raise ConditionViolation(
                 "ratio product failed to telescope", x=x, y=y, n=n, m=m,
             )
-    if prod * p_n ** (2 * m) < 1:
+    if prod_a * p_n ** (2 * m) < prod_b:
         raise ConditionViolation(
             "ratio product undershoots the size bound", x=x, y=y, n=n, m=m,
         )

@@ -201,6 +201,33 @@ def test_cli_validate(tmp_path, grid3_file, c6):
     assert payload["m1_defect"] == "0/1" and payload["m2_defect"] == "0/1"
 
 
+def test_cli_validate_above_table_limit(tmp_path):
+    # 324 vertices: validate keeps no median table, so it has no size cap
+    big = tmp_path / "grid17.txt"
+    big.write_text(write_graph_text(generate("grid", [17, 17])))
+    code, out = run_cli(["validate", "--input", str(big)])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["median"] is True and payload["vertices"] == 324
+
+    c300 = MedianGraph(300, [(i, (i + 1) % 300) for i in range(300)])
+    bad = tmp_path / "c300.txt"
+    bad.write_text(write_graph_text(c300))
+    code, out = run_cli(["validate", "--input", str(bad)])
+    assert code == 1
+    witness = json.loads(out)["witness"]
+    assert witness["error"] == "unique-median"
+    assert witness["triple"] == [0, 2, 151] and witness["candidates"] == []
+    x, y, z = witness["triple"]
+    d = c300.dist
+    assert not any(
+        d[x, m] + d[m, y] == d[x, y]
+        and d[y, m] + d[m, z] == d[y, z]
+        and d[z, m] + d[m, x] == d[z, x]
+        for m in range(300)
+    )
+
+
 def test_cli_hyperplanes_and_rank(grid3_file, tmp_path, capsys):
     code, out = run_cli(["hyperplanes", "--input", grid3_file])
     assert code == 0
@@ -323,6 +350,38 @@ def test_cli_invalid_inputs(tmp_path):
     code, out = run_cli(["rank", "--input", str(inst)])
     assert code == 1
     assert json.loads(out)["error"] == "invalid-input"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ncp", "--from", "-1", "--to", "3"],
+        ["ncp", "--from", "0", "--to", "9999"],
+        ["ncp", "--from", "9", "--to", "0"],
+    ],
+)
+def test_cli_ncp_vertex_out_of_range(grid3_file, argv):
+    code, out = run_cli(argv + ["--input", grid3_file])
+    assert code == 1
+    assert out.count("\n") == 1
+    payload = json.loads(out)
+    assert payload["error"] == "invalid-input"
+    assert "out of range" in payload["message"]
+
+
+@pytest.mark.parametrize("ends", [("0", "999"), ("-1", "3"), ("5", "-2")])
+def test_cli_deep_point_vertex_out_of_range(tmp_path, ends):
+    inst = tmp_path / "c11.inst"
+    code, _ = run_cli(["gen", "coarse-grid", "1", "1", "--output", str(inst)])
+    assert code == 0
+    code, out = run_cli(
+        ["deep-point", "--input", str(inst), "--from", ends[0], "--to", ends[1]]
+    )
+    assert code == 1
+    assert out.count("\n") == 1
+    payload = json.loads(out)
+    assert payload["error"] == "invalid-input"
+    assert "out of range" in payload["message"]
 
 
 def test_cli_error_report_names_rule(tmp_path, k23):

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from mediancert import median_core
 from mediancert.errors import (
     BudgetExceeded,
     MedianViolation,
@@ -92,6 +93,38 @@ def test_double_median_reported(k23):
     with pytest.raises(MedianViolation) as info:
         k23.median_table()
     assert sorted(info.value.report()["candidates"]) == [0, 1]
+
+
+def test_dense_witness_above_table_limit(monkeypatch):
+    # above TABLE_LIMIT the dense scan builds its interval rows itself;
+    # the witness must be the one the packed table gives
+    k23 = MedianGraph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
+    monkeypatch.setattr(median_core, "TABLE_LIMIT", 0)
+    with pytest.raises(MedianViolation) as info:
+        k23.verify_medians()
+    rep = info.value.report()
+    assert rep["triple"] == (2, 3, 4) and rep["candidates"] == [0, 1]
+
+
+def test_verify_medians_keeps_no_table(grid4):
+    fresh = MedianGraph(grid4.n, grid4.edges)
+    fresh.verify_medians()
+    assert fresh._median_table is None
+
+
+def test_witness_in_a_later_row_block():
+    # path 0..40 with a 6-cycle 40..45 hung on its end: the first bad
+    # triple has y far from x, past the scan's first block of rows
+    edges = [(i, i + 1) for i in range(40)] + [(40 + i, 40 + (i + 1) % 6) for i in range(6)]
+    want = next(
+        t for t in itertools.product(range(46), repeat=3)
+        if len(brute_median_candidates(MedianGraph(46, edges), *t)) != 1
+    )
+    assert want == (0, 42, 44)
+    for run in (MedianGraph.median_table, MedianGraph.verify_medians):
+        with pytest.raises(MedianViolation) as info:
+            run(MedianGraph(46, edges))
+        assert info.value.report()["triple"] == want
 
 
 def test_median_table_cap():

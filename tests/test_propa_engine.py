@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mediancert.errors import ConditionViolation, EmptySet
 from mediancert.median_core import MedianGraph, VertexSet
@@ -9,6 +12,7 @@ from mediancert.propa_engine import (
     CSV_HEADER,
     Cat0WitnessProvider,
     SparseL1Vector,
+    _check_pair_chain,
     certify,
     chi,
     chi_l1_identity,
@@ -197,6 +201,89 @@ def test_clean_dict_provider_passes():
     rep = verify_conditions(prov, 1, [0, 1])
     assert rep.p_n == 3 and rep.pairs_checked == 1
     assert rep.saturated_sets == 0
+
+
+# -- the exact chain against a Fraction-by-Fraction reference ------------
+
+
+def reference_l1(a, b):
+    return sum((abs(a[k] - b[k]) for k in a.entries.keys() | b.entries.keys()), Fraction(0))
+
+
+def reference_chain(provider, x, y, m, n, p_n, xis):
+    """The chain of _check_pair_chain, one Fraction operation at a time."""
+    var = reference_l1(xis[x], xis[y])
+    sum_norm = Fraction(0)
+    ratios = []
+    for k in range(n + 1, 2 * n + 1):
+        sx, sy = provider.sets(x, k, n), provider.sets(y, k, n)
+        inner = provider.sets(x, k - m, n)
+        outer = provider.sets(x, k + m, n)
+        if not (inner <= (sx & sy) and (sx | sy) <= outer):
+            raise ConditionViolation("nesting failed inside the certificate chain")
+        norm = 2 * (1 - Fraction(len(sx & sy), max(len(sx), len(sy))))
+        sum_norm += norm
+        ratio = Fraction(len(inner), len(outer))
+        ratios.append(ratio)
+        if norm > 2 * (1 - ratio):
+            raise ConditionViolation("per-radius norm exceeds its ratio bound")
+    mean = sum(ratios, Fraction(0)) / n
+    bound = 2 * (1 - mean)
+    if var > sum_norm / n or sum_norm / n > bound:
+        raise ConditionViolation("variation chain is out of order")
+    prod = math.prod(ratios)
+    if mean**n < prod:
+        raise ConditionViolation("mean-vs-product inequality failed")
+    if 2 * m <= n:
+        head = math.prod(Fraction(len(provider.sets(x, j, n))) for j in range(n + 1 - m, n + m + 1))
+        tail = math.prod(Fraction(len(provider.sets(x, j, n))) for j in range(2 * n + 1 - m, 2 * n + m + 1))
+        if prod != head / tail:
+            raise ConditionViolation("ratio product failed to telescope")
+    if prod * p_n ** (2 * m) < 1:
+        raise ConditionViolation("ratio product undershoots the size bound")
+    return var, bound
+
+
+@st.composite
+def chain_cases(draw):
+    # nested sets at x, sets at y squeezed between x's neighbours, so
+    # that every branch of the chain is reached, plus an occasional
+    # stray point that breaks the nesting
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, n))
+    grow = draw(st.lists(st.lists(st.integers(0, 11), max_size=3), min_size=3 * n, max_size=3 * n))
+    at_x, cur = [], {0}
+    for extra in grow:
+        cur = cur | set(extra)
+        at_x.append(sorted(cur))
+    table = {}
+    for k in range(1, 3 * n + 1):
+        table[(0, k)] = at_x[k - 1]
+        low = set(at_x[k - 2]) if k > 1 else set()
+        high = at_x[min(k, 3 * n - 1)]
+        table[(1, k)] = sorted(low | set(draw(st.lists(st.sampled_from(high), max_size=4))))
+        if not table[(1, k)]:
+            table[(1, k)] = [0]
+    if draw(st.integers(0, 4)) == 0:
+        k = draw(st.integers(1, 3 * n))
+        table[(1, k)] = sorted(set(table[(1, k)]) | {12})
+    p_n = draw(st.integers(1, 14))
+    return DictProvider(13, table), m, n, p_n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(chain_cases())
+def test_pair_chain_matches_fraction_reference(case):
+    prov, m, n, p_n = case
+    xis = {x: xi(prov, x, n) for x in (0, 1)}
+    try:
+        want = reference_chain(prov, 0, 1, m, n, p_n, xis)
+    except ConditionViolation as exc:
+        with pytest.raises(ConditionViolation) as got:
+            _check_pair_chain(prov, 0, 1, m, n, p_n, xis)
+        assert str(got.value) == str(exc)
+        return
+    assert _check_pair_chain(prov, 0, 1, m, n, p_n, xis) == want
 
 
 # -- sampling ------------------------------------------------------------
