@@ -198,6 +198,34 @@ def _defect_exhaustive(inst: CoarseMedianInstance, k: Fraction) -> Fraction:
     return Fraction(worst, den)
 
 
+def _slot_envelope(inst: CoarseMedianInstance) -> np.ndarray:
+    """env[a, a2]: the largest d(mu(t), mu(t2)) over triples t, t2 that
+    agree outside one argument slot, where t holds a and t2 holds a2,
+    over all three slots; integer metric only, O(n^4)."""
+    n = inst.n
+    d = inst.dist_int.ravel()
+    env = np.zeros((n, n), dtype=np.int64)
+    for slot_first in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        rows = inst.mu.transpose(slot_first).reshape(n, n * n).astype(np.intp)
+        for a in range(n):
+            np.maximum(env[a], d[rows[a] * n + rows].max(axis=1), out=env[a])
+    return env
+
+
+def _h0_exhaustive(inst: CoarseMedianInstance, k: Fraction,
+                   env: np.ndarray) -> Fraction:
+    """H0 at multiplier k, exact.  The single-argument defect
+    D1 = max(env - k * d) is the sextuple defect D6 restricted to triples
+    that differ in one slot, and walking from one triple to the other a
+    slot at a time gives D6 <= 3 * D1 by the triangle inequality; both
+    are >= 0 (take equal triples).  So D1 = 0 proves H0 = D6 = 0, and
+    only D1 > 0 needs the O(n^6) sweep."""
+    d1 = k.denominator * env - k.numerator * inst.dist_int.astype(np.int64)
+    if int(d1.max()) == 0:
+        return Fraction(0)
+    return _defect_exhaustive(inst, k)
+
+
 def _sextuple_sample(inst: CoarseMedianInstance, budget: int, seed: int):
     """Displacement pairs (args, mu) for a seeded sextuple sample."""
     rng = np.random.default_rng(seed)
@@ -221,15 +249,26 @@ def _sextuple_sample(inst: CoarseMedianInstance, budget: int, seed: int):
 
 
 def _gamma_exhaustive(inst: CoarseMedianInstance) -> Fraction:
-    d, mu, n = inst.dist_int, inst.mu, inst.n
+    """max d(mu(x,y,mu(z,v,w)), mu(mu(x,y,z), mu(x,y,v), w)) over all
+    5-tuples; integer metric only.  With a symmetric table (m1_defect
+    is 0, since distinct points are at positive distance) the defect is
+    unchanged by x <-> y and by z <-> v, so only x <= y and z <= v are
+    visited: O(n^5 / 4), against O(n^5) for an asymmetric table."""
+    n = inst.n
+    d = inst.dist_int.ravel()
+    mu = inst.mu.astype(np.intp)
+    by_pair = mu.reshape(n * n, n)  # by_pair[p * n + q] = mu(p, q, .)
+    if inst.m1_defect == 0:
+        first, second = np.triu_indices(n)
+    else:
+        first, second = np.indices((n, n)).reshape(2, -1)
+    inner = by_pair[first * n + second]  # inner[zv, w] = mu(z, v, w)
     worst = 0
-    for x in range(n):
-        for y in range(n):
-            a_row = mu[x, y]  # a_row[z] = mu(x,y,z)
-            lhs = a_row[mu]  # lhs[z,v,w] = mu(x,y,mu(z,v,w))
-            rhs = mu[a_row[:, None, None], a_row[None, :, None],
-                     np.arange(n)[None, None, :]]
-            worst = max(worst, int(d[lhs.ravel(), rhs.ravel()].max()))
+    for x, y in zip(first.tolist(), second.tolist()):
+        xy = mu[x, y]  # xy[z] = mu(x, y, z)
+        lhs = (xy * n)[inner]  # n * mu(x, y, mu(z, v, w))
+        rhs = by_pair[xy[first] * n + xy[second]]  # mu(mu(x,y,z), mu(x,y,v), w)
+        worst = max(worst, int(d[lhs + rhs].max()))
     return Fraction(worst)
 
 
@@ -255,14 +294,14 @@ def estimate_params(inst: CoarseMedianInstance, budget: int = 200_000,
     exhaustive = inst.n <= EXHAUSTIVE_POINTS and inst.dist_int is not None
     if exhaustive:
         gamma = _gamma_exhaustive(inst)
-        sample = None
+        env = _slot_envelope(inst)
     else:
         gamma = _gamma_sampled(inst, budget, seed)
         sample = _sextuple_sample(inst, budget, seed)
     fit = None
     for k in K_GRID:
         if exhaustive:
-            h0 = _defect_exhaustive(inst, k)
+            h0 = _h0_exhaustive(inst, k, env)
         else:
             lhs, rhs = sample
             if isinstance(lhs, np.ndarray):
@@ -303,16 +342,18 @@ def _params(inst: CoarseMedianInstance) -> CoarseParams:
 # -- interval calculus checks ----------------------------------------
 
 
-def check_lemma_6_2(inst: CoarseMedianInstance, a: int, b: int, x: int, r):
+def check_lemma_6_2(inst: CoarseMedianInstance, a: int, b: int, x: int, r,
+                    cs: LConstants | None = None):
     """With x in the lam-interval of (a, b): every point of the
     r-interval of (a, x) must lie in the L1(r)-interval of (a, b).
+    ``cs`` may pass in l_constants(params, r, 1, d).
     Returns (True, None) or (False, witness)."""
     p = _params(inst)
     if inst.rho(inst.med(a, b, x), x) > p.lam:
         raise PreconditionViolation(
             f"{x} is not lam-between {a} and {b}", a=a, b=b, x=x,
         )
-    l1 = l_constants(p, r, 1, inst.d).L1
+    l1 = (cs or l_constants(p, r, 1, inst.d)).L1
     r = Fraction(r)
     for z in inst.points():
         if inst.rho(inst.med(a, x, z), z) <= r:
@@ -350,12 +391,14 @@ def find_deep_point(inst: CoarseMedianInstance, a: int, b: int, r, t, kappa):
     return None
 
 
-def check_lemma_6_5(inst: CoarseMedianInstance, a: int, b: int, h: int, m: int, r):
+def check_lemma_6_5(inst: CoarseMedianInstance, a: int, b: int, h: int, m: int, r,
+                    cs: LConstants | None = None):
     """With h L1(r)-between (a,b) and m L2(r)-between (a,h): projecting
     m back toward b through h moves it at most
-    K*(L1+L2) + 2*H0 + gamma away from h.  Returns (ok, dist, bound)."""
+    K*(L1+L2) + 2*H0 + gamma away from h.  ``cs`` may pass in
+    l_constants(params, r, 1, d).  Returns (ok, dist, bound)."""
     p = _params(inst)
-    cs = l_constants(p, r, 1, inst.d)
+    cs = cs or l_constants(p, r, 1, inst.d)
     if inst.rho(inst.med(a, b, h), h) > cs.L1:
         raise PreconditionViolation("h is not L1-between a and b", a=a, b=b, h=h)
     if inst.rho(inst.med(a, h, m), m) > cs.L2:

@@ -3,9 +3,9 @@
 Graph files: a "vertices N" header, then one "e u v" line per edge;
 "#" starts a comment.  Instance files: "points N", optional "rank d",
 then a "metric explicit" section with N*(N-1)/2 lines "d i j value"
-(value an integer or num/den) and a "mu explicit" section with lines
-"m i j k v".  Sections left out of an instance file are filled from a
-graph when one is supplied alongside.
+(value an integer or num/den) and a "mu explicit" section with one line
+"m i j k v" per triple.  Sections left out of an instance file are
+filled from a graph when one is supplied alongside.
 
 Exit status is 0 only when every requested check passed; failures
 print one JSON object naming the violated rule.
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import random
@@ -252,13 +253,62 @@ def write_instance_text(inst: CoarseMedianInstance) -> str:
     return out.getvalue()
 
 
+# "m i j k v" as numpy reads it: the tag, then the four integers
+_M_LINE = np.dtype([("tag", "U1"), ("ijkv", np.int64, (4,))])
+
+
+def _read_m_lines(lines: list[str]) -> np.ndarray | None:
+    """(i, j, k, v) rows of lines that start with "m ", in one numpy
+    pass, or None when numpy refuses one: a line it cannot read as five
+    fields is left to the line-by-line reader, which names it."""
+    if not lines:
+        return np.empty((0, 4), dtype=np.int64)
+    try:
+        return np.loadtxt(lines, dtype=_M_LINE, comments="#", ndmin=1)["ijkv"]
+    except ValueError:
+        return None
+
+
+def _check_mu_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """The operation table from (i, j, k, v) rows: every entry in
+    0..n-1 and every triple listed exactly once."""
+    if len(rows) and (rows.min() < 0 or rows.max() >= n):
+        bad = ((rows < 0) | (rows >= n)).any(axis=1)
+        i, j, k, v = rows[bad][0].tolist()
+        raise ValueError(f"m line {i} {j} {k} {v}: entry out of range 0..{n - 1}")
+    rows = rows.astype(np.int64, copy=False)
+    key = (rows[:, 0] * n + rows[:, 1]) * n + rows[:, 2]
+    twice = np.flatnonzero(np.bincount(key, minlength=n ** 3) > 1)
+    if len(twice):
+        i, jk = divmod(int(twice[0]), n * n)
+        raise ValueError(f"mu section lists triple ({i},{jk // n},{jk % n}) twice")
+    if len(rows) != n ** 3:
+        raise ValueError("mu section must list every triple once")
+    mu = np.empty(n ** 3, dtype=np.int32)
+    mu[key] = rows[:, 3]
+    return mu.reshape(n, n, n)
+
+
 def parse_instance_text(text: str, graph: MedianGraph | None = None) -> CoarseMedianInstance:
+    return _parse_instance_lines(text.splitlines(), graph)
+
+
+def _parse_instance_lines(lines: list[str], graph: MedianGraph | None) -> CoarseMedianInstance:
+    # all but a handful of an instance file's lines are "m" lines: read
+    # them in bulk, and everything else (if numpy refuses one, every
+    # line) one by one
+    bulk = list(map(str.startswith, lines, itertools.repeat("m ")))
+    rows = _read_m_lines(list(itertools.compress(lines, bulk)))
+    if rows is None:
+        bulk = [False] * len(lines)
+        rows = np.empty((0, 4), dtype=np.int64)
     n = None
     d = None
     metric: dict[tuple[int, int], Fraction] = {}
-    mu_entries: dict[tuple[int, int, int], int] = {}
+    more_rows: list[list[int]] = []
     have_metric = have_mu = False
-    for no, raw in enumerate(text.splitlines(), 1):
+    for no in [no for no, is_m in enumerate(bulk) if not is_m]:
+        raw = lines[no]
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -274,16 +324,24 @@ def parse_instance_text(text: str, graph: MedianGraph | None = None) -> CoarseMe
         elif parts[0] == "d" and len(parts) == 4:
             metric[(int(parts[1]), int(parts[2]))] = Fraction(parts[3])
         elif parts[0] == "m" and len(parts) == 5:
-            mu_entries[tuple(int(x) for x in parts[1:4])] = int(parts[4])
+            more_rows.append([int(x) for x in parts[1:]])
         else:
-            raise ValueError(f"line {no}: cannot parse {raw!r}")
+            raise ValueError(f"line {no + 1}: cannot parse {raw!r}")
     if n is None:
         raise ValueError("missing 'points N' header")
+    if n < 1:
+        raise ValueError("an instance needs at least one point")
+    if n > coarse_median.INSTANCE_LIMIT:
+        raise BudgetExceeded(
+            f"instance above {coarse_median.INSTANCE_LIMIT} points", n=n
+        )
     if graph is not None and graph.n != n:
         raise ValueError("graph and instance point counts differ")
     if have_metric:
         dist = [[Fraction(0)] * n for _ in range(n)]
         for (i, j), v in metric.items():
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"d line {i} {j}: point out of range 0..{n - 1}")
             dist[i][j] = v
             dist[j][i] = v
         for i in range(n):
@@ -295,11 +353,9 @@ def parse_instance_text(text: str, graph: MedianGraph | None = None) -> CoarseMe
     else:
         raise ValueError("no metric section and no graph to derive one from")
     if have_mu:
-        mu = np.empty((n, n, n), dtype=np.int32)
-        if len(mu_entries) != n ** 3:
-            raise ValueError("mu section must list every triple once")
-        for (i, j, k), v in mu_entries.items():
-            mu[i, j, k] = v
+        if more_rows:
+            rows = np.concatenate([rows, np.array(more_rows)])
+        mu = _check_mu_rows(rows, n)
     elif graph is not None:
         mu = graph.median_table()
     else:
@@ -317,7 +373,8 @@ def _read_text(path: str) -> str:
 def load_input(path: str):
     """Graph or instance, keyed off the header word."""
     text = _read_text(path)
-    for raw in text.splitlines():
+    lines = text.splitlines()
+    for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -325,7 +382,7 @@ def load_input(path: str):
         if head == "vertices":
             return parse_graph_text(text)
         if head == "points":
-            return parse_instance_text(text)
+            return _parse_instance_lines(lines, None)
         raise ValueError(f"unrecognized header {head!r}")
     raise ValueError("empty input file")
 
@@ -379,6 +436,8 @@ class RunConfig:
     def __post_init__(self):
         if self.budget <= 0:
             raise ValueError("budget must be positive")
+        if min(self.n_list + self.m_list, default=1) < 1:
+            raise ValueError("--n and --m entries must be at least 1")
         if self.sample is not None and self.sample <= 0:
             raise ValueError("sample must be positive")
 
@@ -548,19 +607,21 @@ def _lemma_sweeps(inst: CoarseMedianInstance, samples: int, seed: int) -> dict:
         for i in range(samples)
     ]
 
+    consts = {r: l_constants(params, r, 1, inst.d) for r in (0, 1, 2)}
+
     def one(tup):
         a, b, z, w_pt, r = tup
+        cs = consts[r]
         x = inst.med(a, b, z)
-        ok_62, _ = check_lemma_6_2(inst, a, b, x, r)
+        ok_62, _ = check_lemma_6_2(inst, a, b, x, r, cs)
         h = x
-        cs = l_constants(params, r, 1, inst.d)
         m = inst.med(a, h, w_pt)
         ok_65 = None
         if (
             inst.rho(inst.med(a, b, h), h) <= cs.L1
             and inst.rho(inst.med(a, h, m), m) <= cs.L2
         ):
-            ok_65, _, _ = check_lemma_6_5(inst, a, b, h, m, r)
+            ok_65, _, _ = check_lemma_6_5(inst, a, b, h, m, r, cs)
         return ok_62, ok_65
 
     results = [one(tup) for tup in tuples]

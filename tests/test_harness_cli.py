@@ -6,7 +6,14 @@ import os
 import numpy as np
 import pytest
 
-from mediancert.coarse_median import CoarseMedianInstance, coarsened_grid, from_median_graph
+from mediancert import harness_cli
+from mediancert.coarse_median import (
+    CoarseMedianInstance,
+    coarsened_grid,
+    from_median_graph,
+    l_constants,
+)
+from mediancert.errors import BudgetExceeded
 from mediancert.harness_cli import (
     GRAPH_KINDS,
     generate,
@@ -139,6 +146,76 @@ def test_instance_from_graph_sections(grid3):
         parse_instance_text(
             "points 3\nmetric explicit\nd 0 1 1\nd 0 2 1\n", graph=None
         )
+
+
+def _instance_lines(w=1, h=1):
+    return write_instance_text(coarsened_grid(w, h)).splitlines()
+
+
+def _first(lines, tag):
+    return next(i for i, line in enumerate(lines) if line.startswith(tag))
+
+
+def test_instance_m_lines_with_comments_and_tabs():
+    lines = _instance_lines()
+    want = parse_instance_text("\n".join(lines))
+    at = _first(lines, "m ")
+    lines[at] += "  # the first triple"
+    lines[at + 1] = "\t" + lines[at + 1].replace(" ", "\t")  # read line by line
+    lines.insert(at, "# the operation table follows")
+    got = parse_instance_text("\n".join(lines))
+    assert np.array_equal(got.mu, want.mu)
+
+
+def _replace(tag, offset, text):
+    def edit(lines):
+        lines[_first(lines, tag) + offset] = text
+    return edit
+
+
+def _repeat_first_m(lines):
+    at = _first(lines, "m ")
+    lines[at + 1] = lines[at]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(_replace("d ", 0, "d 0 5 1"), "out of range", id="d-past-n"),
+        pytest.param(_replace("d ", 0, "d -1 1 1"), "out of range", id="d-negative"),
+        pytest.param(_replace("m ", 0, "m -1 0 0 0"), "out of range", id="m-negative"),
+        pytest.param(_replace("m ", 0, "m 0 0 5 0"), "out of range", id="m-past-n"),
+        pytest.param(_replace("m ", 0, "m 0 0 0 7"), "out of range", id="m-value-past-n"),
+        pytest.param(_repeat_first_m, "twice", id="m-repeated"),
+        pytest.param(lambda lines: lines.append(lines[-1]), "twice", id="m-extra-copy"),
+        pytest.param(lambda lines: lines.pop(), "every triple", id="m-missing"),
+        pytest.param(_replace("points", 0, "points 0"), "at least one point", id="no-points"),
+    ],
+)
+def test_cli_rejects_bad_instance_entries(tmp_path, edit, message):
+    lines = _instance_lines()
+    edit(lines)
+    path = tmp_path / "bad.inst"
+    path.write_text("\n".join(lines) + "\n")
+    code, out = run_cli(["validate", "--input", str(path)])
+    assert code == 1
+    assert out.count("\n") == 1
+    payload = json.loads(out)
+    assert payload["error"] == "invalid-input"
+    assert message in payload["message"]
+
+
+def test_instance_bad_m_line_is_named():
+    lines = _instance_lines()
+    at = _first(lines, "m ") + 3
+    lines[at] = "m 0 0 3"
+    with pytest.raises(ValueError, match=f"line {at + 1}: cannot parse 'm 0 0 3'"):
+        parse_instance_text("\n".join(lines))
+
+
+def test_instance_above_limit_rejected_before_tables():
+    with pytest.raises(BudgetExceeded):
+        parse_instance_text("points 161\nmetric explicit\nmu explicit\n")
 
 
 def test_load_input_dispatch(tmp_path, grid3):
@@ -318,6 +395,23 @@ def test_cli_coarse_check(tmp_path):
     assert payload["sweeps"]["projection_bound"]["violations"] == 0
 
 
+def test_cli_coarse_check_passes_sweep_constants(tmp_path, monkeypatch):
+    # the sweeps hand each check l_constants at the sample's own r
+    def checked(check):
+        def wrapper(inst, *args):
+            *args, r, cs = args
+            assert cs == l_constants(inst.params, r, 1, inst.d)
+            return check(inst, *args, r, cs)
+        return wrapper
+
+    for name in ("check_lemma_6_2", "check_lemma_6_5"):
+        monkeypatch.setattr(harness_cli, name, checked(getattr(harness_cli, name)))
+    ipath = tmp_path / "inst.txt"
+    ipath.write_text(write_instance_text(coarsened_grid(1, 1)))
+    code, out = run_cli(["coarse-check", "--input", str(ipath), "--sample", "30"])
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
 def test_cli_deep_point(grid3_file):
     code, out = run_cli(
         ["deep-point", "--input", grid3_file, "--from", "0", "--to", "8"]
@@ -350,6 +444,21 @@ def test_cli_invalid_inputs(tmp_path):
     code, out = run_cli(["rank", "--input", str(inst)])
     assert code == 1
     assert json.loads(out)["error"] == "invalid-input"
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [["--n", "0", "--m", "0"], ["--n", "0", "--m", "1"], ["--m", "-1"], ["--n", "2,0"]],
+)
+def test_cli_propa_rejects_levels_below_one(tmp_path, levels):
+    gpath = tmp_path / "t.txt"
+    gpath.write_text(write_graph_text(generate("tree", [2, 3])))
+    code, out = run_cli(["propa", "--input", str(gpath)] + levels)
+    assert code == 1
+    assert out.count("\n") == 1
+    payload = json.loads(out)
+    assert payload["error"] == "invalid-input"
+    assert "at least 1" in payload["message"]
 
 
 @pytest.mark.parametrize(

@@ -1,18 +1,32 @@
-"""Property tests: sign-code medians and walls against references built
-from the distance table alone.
+"""Property tests: sign-code medians and walls, and the exhaustive
+coarse fit, against references built from the tables alone.
 
 The references are deliberately naive: medians from the three pairwise
 intervals of every triple, walls from the edge relation
-(a,b) ~ (c,d) iff d(a,c) + d(b,d) != d(a,d) + d(b,c).
+(a,b) ~ (c,d) iff d(a,c) + d(b,d) != d(a,d) + d(b,c), H0 from the
+sextuple sweep at every K of the grid, and gamma from every 5-tuple.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from mediancert import coarse_median
+from mediancert.coarse_median import (
+    K_GRID,
+    CoarseMedianInstance,
+    _defect_exhaustive,
+    _gamma_exhaustive,
+    _h0_exhaustive,
+    _slot_envelope,
+    estimate_params,
+    from_median_graph,
+)
 from mediancert.cube_complex import hyperplanes
-from mediancert.errors import MedianViolation, NotMedian
+from mediancert.errors import MedianViolation, NotCoarseMedian, NotMedian
 from mediancert.harness_cli import generate
 from mediancert.median_core import MedianGraph
 
@@ -190,3 +204,165 @@ def test_walls_match_theta_classes(family, data):
     for h in got:
         for e in h.edges:
             assert g._edge_to_wall[e] == h.index
+
+
+# -- exhaustive coarse fit ------------------------------------------------
+
+
+def reference_fit(inst, cap):
+    """(K, H0) from the sextuple sweep at each K in turn, or None."""
+    for k in K_GRID:
+        h0 = max(_defect_exhaustive(inst, k), Fraction(0))
+        if cap is None or h0 <= cap:
+            return k, h0
+    return None
+
+
+def reference_gamma(inst):
+    """Every 5-tuple, one (x, y) at a time."""
+    d, mu, n = inst.dist_int, inst.mu, inst.n
+    worst = 0
+    for x in range(n):
+        for y in range(n):
+            a_row = mu[x, y]
+            lhs = a_row[mu]  # lhs[z, v, w] = mu(x, y, mu(z, v, w))
+            rhs = mu[a_row[:, None, None], a_row[None, :, None],
+                     np.arange(n)[None, None, :]]
+            worst = max(worst, int(d[lhs.ravel(), rhs.ravel()].max()))
+    return Fraction(worst)
+
+
+@st.composite
+def integer_metrics(draw, n):
+    # distinct points on a line, or shortest paths over positive integer
+    # weights; the line puts near and far pairs in one instance
+    if draw(st.booleans()):
+        at = np.array(draw(st.lists(st.integers(0, 60), min_size=n, max_size=n, unique=True)))
+        return np.abs(at[:, None] - at[None, :]).tolist()
+    w = np.array(draw(st.lists(st.integers(1, 24), min_size=n * n, max_size=n * n)))
+    d = np.minimum(w.reshape(n, n), w.reshape(n, n).T)
+    np.fill_diagonal(d, 0)
+    for m in range(n):
+        d = np.minimum(d, d[:, m, None] + d[None, m, :])
+    return d.tolist()
+
+
+@st.composite
+def small_instances(draw):
+    """Random integer instances of 2..6 points.  The operation is random,
+    random on sorted triples (symmetric), that with one entry changed,
+    a map of one argument slot (the bare projection has single-argument
+    defect 0 at K = 1), a constant, or the medians of a small median
+    graph."""
+    kind = draw(st.sampled_from(["random", "symmetric", "one-off", "slot", "constant", "graph"]))
+    if kind == "graph":
+        g = draw(st.sampled_from([
+            generate("grid", [1, 2]), generate("tree", [2, 1]),
+            generate("staircase", [1]), generate("hypercube", [2]),
+        ]))
+        return from_median_graph(g)
+    n = draw(st.integers(2, 6))
+    dist = draw(integer_metrics(n))
+    points = st.integers(0, n - 1)
+    ijk = np.indices((n, n, n)).reshape(3, -1)
+    if kind == "random":
+        mu = np.array(draw(st.lists(points, min_size=n**3, max_size=n**3)))
+    elif kind in ("symmetric", "one-off"):
+        values = np.array(draw(st.lists(points, min_size=n**3, max_size=n**3)))
+        lo, mid, hi = np.sort(ijk, axis=0)
+        mu = values[(lo * n + mid) * n + hi]
+        if kind == "one-off":
+            mu[draw(st.integers(0, n**3 - 1))] = draw(points)
+    elif kind == "slot":
+        image = np.arange(n)
+        if draw(st.booleans()):
+            image = np.array(draw(st.lists(points, min_size=n, max_size=n)))
+        mu = image[ijk[draw(st.integers(0, 2))]]
+    else:
+        mu = np.full(n**3, draw(points))
+    return CoarseMedianInstance(dist, mu.reshape(n, n, n), d=1)
+
+
+# the fit properties are cheap per example, so they draw more of them
+FIT_SETTINGS = settings(SETTINGS, max_examples=150)
+
+
+LINE4 = [[abs(i - j) for j in range(4)] for i in range(4)]
+
+
+def planted(entry, value):
+    # the first projection (gamma 0) with one entry at x > y changed:
+    # the table is not symmetric, and its defect depends on argument order
+    mu = np.indices((4, 4, 4))[0].astype(np.int32)
+    mu[entry] = value
+    return CoarseMedianInstance(LINE4, mu, d=1)
+
+
+def last_slot_jump():
+    # mu(a, b, c) = image[c]: only the third slot moves the value, by
+    # more than K = 1 pays for
+    image = np.array([0, 3, 1, 2])
+    return CoarseMedianInstance(LINE4, image[np.indices((4, 4, 4))[2]], d=1)
+
+
+def far_jump():
+    # points 0, 1 and 100 on a line; moving one argument from 0 to 1
+    # moves the value from 0 to 100, more than any K of the grid pays for
+    mu = np.zeros((3, 3, 3), dtype=np.int32)
+    mu[1, 0, 0] = 2
+    return CoarseMedianInstance([[0, 1, 100], [1, 0, 99], [100, 99, 0]], mu, d=1)
+
+
+@FIT_SETTINGS
+@given(inst=small_instances())
+@example(inst=last_slot_jump())
+@example(inst=planted((2, 0, 0), 0))
+def test_h0_matches_sextuple_sweep(inst):
+    env = _slot_envelope(inst)
+    for k in K_GRID:
+        assert _h0_exhaustive(inst, k, env) == max(_defect_exhaustive(inst, k), 0)
+
+
+@FIT_SETTINGS
+@given(inst=small_instances(), cap=st.sampled_from([None, 0, Fraction(1, 2), 1, 3]))
+@example(inst=far_jump(), cap=0)
+@example(inst=far_jump(), cap=None)
+def test_fit_matches_sextuple_reference(inst, cap):
+    want = reference_fit(inst, cap)
+    if want is None:
+        with pytest.raises(NotCoarseMedian):
+            estimate_params(inst, h0_cap=cap)
+        return
+    p = estimate_params(inst, h0_cap=cap)
+    assert (p.K, p.H0) == want
+
+
+@FIT_SETTINGS
+@given(inst=small_instances())
+@example(inst=planted((2, 0, 0), 0))
+@example(inst=planted((2, 1, 0), 3))
+def test_gamma_matches_full_sweep(inst):
+    assert _gamma_exhaustive(inst) == reference_gamma(inst)
+
+
+def test_h0_falls_back_only_when_one_slot_moves(monkeypatch):
+    calls = []
+
+    def spy(inst, k):
+        calls.append(k)
+        return _defect_exhaustive(inst, k)
+
+    monkeypatch.setattr(coarse_median, "_defect_exhaustive", spy)
+    median = np.sort(np.indices((4, 4, 4)), axis=0)[1]
+    inst = CoarseMedianInstance(LINE4, median, d=1)
+    assert _h0_exhaustive(inst, Fraction(1), _slot_envelope(inst)) == 0
+    assert calls == []
+    # a jump in the first slot alone: D1 > 0 at K = 1, and the sweep runs
+    jumpy = median.copy()
+    jumpy[1, 2, 2] = 0
+    inst = CoarseMedianInstance(LINE4, jumpy, d=1)
+    env = _slot_envelope(inst)
+    assert int((env - inst.dist_int).max()) > 0
+    h0 = _h0_exhaustive(inst, Fraction(1), env)
+    assert calls == [Fraction(1)]
+    assert h0 == _defect_exhaustive(inst, Fraction(1)) > 0
