@@ -82,6 +82,9 @@ class CoarseMedianInstance:
                  ambient: MedianGraph | None = None,
                  point_to_ambient: list[int] | None = None,
                  round_to_point: np.ndarray | None = None):
+        if int(d) < 0:
+            # l_constants takes 3 ** d, which is a float below 0
+            raise ValueError(f"rank {d} is below 0")
         self.mu = np.asarray(mu, dtype=np.int32)
         self.n = self.mu.shape[0]
         if self.n > INSTANCE_LIMIT:

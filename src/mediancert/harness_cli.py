@@ -317,6 +317,8 @@ def _parse_instance_lines(lines: list[str], graph: MedianGraph | None) -> Coarse
             n = int(parts[1])
         elif parts[0] == "rank" and len(parts) == 2:
             d = int(parts[1])
+            if d < 0:
+                raise ValueError(f"line {no + 1}: rank {d} is below 0")
         elif line == "metric explicit":
             have_metric = True
         elif line == "mu explicit":

@@ -45,6 +45,22 @@ def _pack_mask(row: np.ndarray) -> int:
     return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
 
 
+def _mask_of(members) -> int:
+    """Bitmask with one bit per member id."""
+    m = 0
+    for v in members:
+        m |= 1 << int(v)
+    return m
+
+
+def _mask_members(m: int):
+    """Member ids of a bitmask, in increasing order."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
 def _hash_multipliers(attempt: int, words: int) -> np.ndarray:
     """The attempt-th fixed set of odd 64-bit multipliers, one per code
     word (splitmix64 from a fixed start)."""
@@ -172,10 +188,7 @@ class VertexSet:
 
     @classmethod
     def of(cls, n: int, members) -> "VertexSet":
-        m = 0
-        for v in members:
-            m |= 1 << int(v)
-        return cls(n, m)
+        return cls(n, _mask_of(members))
 
     @classmethod
     def full(cls, n: int) -> "VertexSet":
@@ -185,11 +198,7 @@ class VertexSet:
         return (self.mask >> int(v)) & 1 == 1
 
     def __iter__(self):
-        m = self.mask
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
+        return _mask_members(self.mask)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -295,9 +304,14 @@ class MedianGraph:
         return d.astype(np.int32)
 
     def distance(self, x: int, y: int) -> int:
+        # a negative id would wrap around the numpy index
+        if not (0 <= x < self.n and 0 <= y < self.n):
+            raise ValueError(f"vertex pair ({x},{y}) out of range 0..{self.n - 1}")
         return int(self.dist[x, y])
 
     def ball(self, x: int, r: int) -> VertexSet:
+        if not 0 <= x < self.n:
+            raise ValueError(f"vertex {x} out of range 0..{self.n - 1}")
         return VertexSet(self.n, _pack_mask(self.dist[x] <= r))
 
     def interval_row(self, a: int, b: int) -> np.ndarray:

@@ -26,28 +26,45 @@ import numpy as np
 
 from .cube_complex import normal_cube_path
 from .errors import ConditionViolation, EmptySet
-from .median_core import MedianGraph, VertexSet
+from .median_core import MedianGraph, VertexSet, _mask_members, _mask_of, _pack_mask
 
 
 class SparseL1Vector:
-    """Finitely supported map point -> nonnegative rational."""
+    """Finitely supported map point -> nonnegative rational, held as
+    integer numerators over one common denominator."""
 
-    __slots__ = ("entries", "_scaled")
+    __slots__ = ("_entries", "_scaled")
 
     def __init__(self, entries: dict[int, Fraction]):
-        self.entries = {k: v for k, v in entries.items() if v != 0}
-        for v in self.entries.values():
+        entries = {k: v for k, v in entries.items() if v != 0}
+        for v in entries.values():
             if v < 0:
                 raise ValueError("negative entry")
+        self._entries: dict[int, Fraction] | None = entries
         self._scaled: tuple[int, dict[int, int]] | None = None
+
+    @classmethod
+    def scaled(cls, den: int, nums: dict[int, int]) -> "SparseL1Vector":
+        """The vector nums[k] / den; nums are positive integers."""
+        v = cls.__new__(cls)
+        v._entries = None
+        v._scaled = (den, nums)
+        return v
+
+    @property
+    def entries(self) -> dict[int, Fraction]:
+        if self._entries is None:
+            den, nums = self._scaled
+            self._entries = {k: Fraction(a, den) for k, a in nums.items()}
+        return self._entries
 
     def _common(self) -> tuple[int, dict[int, int]]:
         """(den, nums) with every entry equal to nums[k] / den."""
         if self._scaled is None:
-            den = math.lcm(*(v.denominator for v in self.entries.values()))
+            den = math.lcm(*(v.denominator for v in self._entries.values()))
             self._scaled = (
                 den,
-                {k: v.numerator * (den // v.denominator) for k, v in self.entries.items()},
+                {k: v.numerator * (den // v.denominator) for k, v in self._entries.items()},
             )
         return self._scaled
 
@@ -55,10 +72,11 @@ class SparseL1Vector:
         return self.entries.get(k, Fraction(0))
 
     def support(self):
-        return self.entries.keys()
+        return self._common()[1].keys()
 
     def l1_norm(self) -> Fraction:
-        return sum(self.entries.values(), Fraction(0))
+        den, nums = self._common()
+        return Fraction(sum(nums.values()), den)
 
     def l1_distance(self, other: "SparseL1Vector") -> Fraction:
         # integers over one common denominator: the same exact sum
@@ -127,35 +145,53 @@ class Cat0WitnessProvider:
         key = (x, k, l)
         s = self._sets.get(key)
         if s is None:
-            inside = np.flatnonzero(self.graph.dist[x] <= k)
-            s = VertexSet.of(self.graph.n, np.unique(self._endpoint_row(l)[inside]))
+            hit = np.zeros(self.graph.n, dtype=bool)
+            hit[self._endpoint_row(l)[self.graph.dist[x] <= k]] = True
+            s = VertexSet(self.graph.n, _pack_mask(hit))
             self._sets[key] = s
         return s
 
 
-def xi(provider, x: int, n: int) -> SparseL1Vector:
+def _mask(s) -> int:
+    """A witness set as an int bitmask: a VertexSet's own mask, or a
+    plain set of ids (the coarse provider's frozenset) packed once."""
+    return s.mask if isinstance(s, VertexSet) else _mask_of(s)
+
+
+def _witness_row(provider, x: int, n: int) -> list[int]:
+    """Masks of S(x, k, n) for k = 1..3n at row[k] (row[0] is unused);
+    each set is read once, in order of k, and an empty one raises."""
+    row = [0]
+    for k in range(1, 3 * n + 1):
+        mask = _mask(provider.sets(x, k, n))
+        if not mask:
+            raise ConditionViolation(f"S({x},{k},{n}) is empty", x=x, k=k, n=n)
+        row.append(mask)
+    return row
+
+
+def xi(provider, x: int, n: int, row: list[int] | None = None) -> SparseL1Vector:
     """Average of the normalized indicators of S(x, k, n) over
-    k = n+1 .. 2n."""
-    acc: dict[int, Fraction] = {}
+    k = n+1 .. 2n, as integer weights lcm/|S_k| over n * lcm(|S_k|).
+    ``row`` is x's witness row when the caller has read it already."""
+    masks = []
     for k in range(n + 1, 2 * n + 1):
-        s = provider.sets(x, k, n)
-        if len(s) == 0:
+        mask = row[k] if row is not None else _mask(provider.sets(x, k, n))
+        if not mask:
             raise EmptySet(f"S({x},{k},{n}) is empty")
-        w = Fraction(1, n * len(s))
-        for z in s:
-            acc[z] = acc.get(z, Fraction(0)) + w
-    return SparseL1Vector(acc)
+        masks.append(mask)
+    sizes = [mask.bit_count() for mask in masks]
+    lcm = math.lcm(*sizes)
+    nums: dict[int, int] = {}
+    for mask, size in zip(masks, sizes):
+        w = lcm // size
+        for z in _mask_members(mask):
+            nums[z] = nums.get(z, 0) + w
+    return SparseL1Vector.scaled(n * lcm, nums)
 
 
 def variation(provider, x: int, y: int, n: int) -> Fraction:
     return xi(provider, x, n).l1_distance(xi(provider, y, n))
-
-
-def _pair_distance(provider, x: int, y: int) -> int | None:
-    d = provider.distance(x, y)
-    if d != int(d):
-        return None
-    return int(d)
 
 
 @dataclass
@@ -167,6 +203,10 @@ class ConditionReport:
     p_by_k: dict[int, int]
     pairs_checked: int
     saturated_sets: int
+    # the checked pairs (x, y, d) and each center's witness row, which
+    # certify reuses rather than reading the sets again
+    pairs: list[tuple[int, int, int]] = field(default_factory=list, repr=False, compare=False)
+    rows: dict[int, list[int]] = field(default_factory=dict, repr=False, compare=False)
 
 
 def verify_conditions(provider, n: int, sample, max_pairs: int | None = None) -> ConditionReport:
@@ -181,42 +221,44 @@ def verify_conditions(provider, n: int, sample, max_pairs: int | None = None) ->
     p_n = 0
     p_by_k: dict[int, int] = {}
     saturated = 0
-    base = provider.basepoint
+    lone_base = 1 << provider.basepoint
+    rows: dict[int, list[int]] = {}
     for x in sample:
-        reach = None  # union of the sets at x: the radius is its farthest member
+        row = rows[x] = _witness_row(provider, x, n)
+        reach = 0  # union of the sets at x: the radius is its farthest member
         for k in range(1, 3 * n + 1):
-            s = provider.sets(x, k, n)
-            if len(s) == 0:
-                raise ConditionViolation(f"S({x},{k},{n}) is empty", x=x, k=k, n=n)
-            reach = s if reach is None else reach | s
-            p_n = max(p_n, len(s))
-            p_by_k[k] = max(p_by_k.get(k, 0), len(s))
-            if len(s) == 1 and base in s:
-                saturated += 1
-        if reach is not None:
-            radius = max(radius, max(math.ceil(provider.distance(x, z)) for z in reach))
+            mask = row[k]
+            size = mask.bit_count()
+            reach |= mask
+            p_n = max(p_n, size)
+            p_by_k[k] = max(p_by_k.get(k, 0), size)
+            saturated += mask == lone_base
+        if reach:
+            far = max(math.ceil(provider.distance(x, z)) for z in _mask_members(reach))
+            radius = max(radius, far)
+    # enumerated once per level: certify filters this list by d
+    distance = provider.distance
     pairs = []
     for i, x in enumerate(sample):
         for y in sample[i + 1:]:
-            d = _pair_distance(provider, x, y)
-            if d is not None and 1 <= d <= n:
-                pairs.append((x, y, d))
+            d = distance(x, y)
+            if 1 <= d <= n and d == int(d):
+                pairs.append((x, y, int(d)))
     if max_pairs is not None and len(pairs) > max_pairs:
         step = len(pairs) / max_pairs
         pairs = [pairs[int(i * step)] for i in range(max_pairs)]
     for x, y, d in pairs:
+        rx, ry = rows[x], rows[y]
         for k in range(n + 1, 2 * n + 1):
-            sx, sy = provider.sets(x, k, n), provider.sets(y, k, n)
-            for c, far in ((x, y), (y, x)):
-                sc, sf = (sx, sy) if c == x else (sy, sx)
-                inner = provider.sets(c, k - d, n)
-                outer = provider.sets(c, k + d, n)
-                if not inner <= (sc & sf):
+            both = rx[k] & ry[k]
+            union = rx[k] | ry[k]
+            for c, far, rc in ((x, y, rx), (y, x, ry)):
+                if rc[k - d] & ~both:
                     raise ConditionViolation(
                         "inner witness set escapes the intersection",
                         x=c, y=far, k=k, n=n, d=d,
                     )
-                if not (sc | sf) <= outer:
+                if union & ~rc[k + d]:
                     raise ConditionViolation(
                         "witness union escapes the outer set",
                         x=c, y=far, k=k, n=n, d=d,
@@ -229,6 +271,8 @@ def verify_conditions(provider, n: int, sample, max_pairs: int | None = None) ->
         p_by_k=p_by_k,
         pairs_checked=len(pairs),
         saturated_sets=saturated,
+        pairs=pairs,
+        rows=rows,
     )
 
 
@@ -294,33 +338,39 @@ CSV_HEADER = [
 ]
 
 
-def _check_pair_chain(provider, x, y, m, n, p_n, xis) -> tuple[Fraction, Fraction]:
+def _check_pair_chain(provider, x, y, m, n, p_n, xis, rows=None) -> tuple[Fraction, Fraction]:
     """Exact inequality chain for one center pair; returns the measured
     variation and the rational ratio bound.  Per radius k, with
     I = |S_x & S_y|, M = max(|S_x|, |S_y|) and inner/outer sizes a/b,
     the norm is 2(M-I)/M and the ratio a/b; every comparison is made on
-    integers after clearing denominators."""
+    integers after clearing denominators.  ``rows`` maps centers to
+    their witness rows; without it the rows of x and y are read here."""
+    if not 0 <= m <= n:
+        raise ValueError(f"pair distance {m} outside 0..{n}")
+    if rows is None:
+        rows = {x: _witness_row(provider, x, n), y: _witness_row(provider, y, n)}
+    rx, ry = rows[x], rows[y]
     var = xis[x].l1_distance(xis[y])
     gaps, widths, inners, outers = [], [], [], []
     for k in range(n + 1, 2 * n + 1):
-        sx, sy = provider.sets(x, k, n), provider.sets(y, k, n)
-        inner = provider.sets(x, k - m, n)
-        outer = provider.sets(x, k + m, n)
+        sx, sy = rx[k], ry[k]
+        inner, outer = rx[k - m], rx[k + m]
         both = sx & sy
-        if not (inner <= both and (sx | sy) <= outer):
+        if inner & ~both or (sx | sy) & ~outer:
             raise ConditionViolation(
                 "nesting failed inside the certificate chain",
                 x=x, y=y, k=k, n=n, m=m,
             )
-        width = max(len(sx), len(sy))
-        a, b = len(inner), len(outer)
+        width = max(sx.bit_count(), sy.bit_count())
+        a, b = inner.bit_count(), outer.bit_count()
+        gap = width - both.bit_count()
         # norm > 2 * (1 - ratio)
-        if (width - len(both)) * b > (b - a) * width:
+        if gap * b > (b - a) * width:
             raise ConditionViolation(
                 "per-radius norm exceeds its ratio bound",
                 x=x, y=y, k=k, n=n, m=m,
             )
-        gaps.append(width - len(both))
+        gaps.append(gap)
         widths.append(width)
         inners.append(a)
         outers.append(b)
@@ -341,8 +391,8 @@ def _check_pair_chain(provider, x, y, m, n, p_n, xis) -> tuple[Fraction, Fractio
             "mean-vs-product inequality failed", x=x, y=y, n=n, m=m,
         )
     if 2 * m <= n:
-        head = math.prod(len(provider.sets(x, j, n)) for j in range(n + 1 - m, n + m + 1))
-        tail = math.prod(len(provider.sets(x, j, n)) for j in range(2 * n + 1 - m, 2 * n + m + 1))
+        head = math.prod(rx[j].bit_count() for j in range(n + 1 - m, n + m + 1))
+        tail = math.prod(rx[j].bit_count() for j in range(2 * n + 1 - m, 2 * n + m + 1))
         if prod_a * tail != head * prod_b:
             raise ConditionViolation(
                 "ratio product failed to telescope", x=x, y=y, n=n, m=m,
@@ -358,13 +408,15 @@ def certify(provider, n_list, m_list, sample) -> list[PropACertificate]:
     """One certificate per level n; each certificate has a row per
     center-pair distance m with the sup of the measured variation, the
     sup of the rational ratio bound, and the float display of the size
-    bound 2*(1 - p**(-2m/n)).  All orderings are verified exactly."""
+    bound 2*(1 - p**(-2m/n)).  All orderings are verified exactly.
+    Rows with m outside 1..n hold no pairs."""
     sample = [int(x) for x in sample]
     certs = []
     for n in n_list:
         report = verify_conditions(provider, n, sample)
         p_n = report.p_n
-        xis = {x: xi(provider, x, n) for x in sample}
+        rows = report.rows
+        xis = {x: xi(provider, x, n, rows[x]) for x in sample}
         cert = PropACertificate(
             provider=provider.name,
             basepoint=provider.basepoint,
@@ -373,16 +425,11 @@ def certify(provider, n_list, m_list, sample) -> list[PropACertificate]:
             p_n=p_n,
         )
         for m in m_list:
-            pairs = [
-                (x, y)
-                for i, x in enumerate(sample)
-                for y in sample[i + 1:]
-                if _pair_distance(provider, x, y) == m
-            ] if m <= n else []
+            pairs = [(x, y) for x, y, d in report.pairs if d == m]
             sup_var = Fraction(0)
             sup_bound = Fraction(0)
             for x, y in pairs:
-                var, bound = _check_pair_chain(provider, x, y, m, n, p_n, xis)
+                var, bound = _check_pair_chain(provider, x, y, m, n, p_n, xis, rows)
                 sup_var = max(sup_var, var)
                 sup_bound = max(sup_bound, bound)
             # sup_var <= sup_bound <= 2*(1 - p**(-2m/n)), the last

@@ -107,6 +107,15 @@ def test_instance_validation():
         CoarseMedianInstance(flat.tolist(), big)
 
 
+def test_instance_rank_below_zero_rejected():
+    mu = path_median_mu(3, PATH3)
+    with pytest.raises(ValueError, match="rank -1 is below 0"):
+        CoarseMedianInstance(PATH3, mu, d=-1)
+    inst = CoarseMedianInstance(PATH3, mu, d=0)
+    cs = l_constants(estimate_params(inst), 1, 1, inst.d)
+    assert isinstance(cs.L3, Fraction) and cs.L3 == 2
+
+
 def test_fraction_metric_accepted():
     dist = [[0, Fraction(1, 2), 1], [Fraction(1, 2), 0, 1], [1, 1, 0]]
     inst = CoarseMedianInstance(dist, path_median_mu(3, PATH3))

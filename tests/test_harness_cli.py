@@ -205,6 +205,43 @@ def test_cli_rejects_bad_instance_entries(tmp_path, edit, message):
     assert message in payload["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["deep-point", "--from", "0", "--to", "4"], ["coarse-check"], ["propa", "--provider", "coarse"]],
+)
+def test_cli_rejects_negative_rank(tmp_path, argv):
+    # with rank -1, l_constants would take 3 ** -1 as a float
+    lines = _instance_lines()
+    at = _first(lines, "rank")
+    lines[at] = "rank -1"
+    path = tmp_path / "neg.inst"
+    path.write_text("\n".join(lines) + "\n")
+    code, out = run_cli(argv + ["--input", str(path)])
+    assert code == 1
+    assert out.count("\n") == 1
+    payload = json.loads(out)
+    assert payload["error"] == "invalid-input"
+    assert payload["message"] == f"line {at + 1}: rank -1 is below 0"
+
+
+def test_cli_rank_zero_on_one_point(tmp_path):
+    path = tmp_path / "c00.inst"
+    code, _ = run_cli(["gen", "coarse-grid", "0", "0", "--output", str(path)])
+    assert code == 0
+    lines = path.read_text().splitlines()
+    assert lines[0] == "points 1"
+    lines[_first(lines, "rank")] = "rank 0"
+    path.write_text("\n".join(lines) + "\n")
+    code, out = run_cli(["deep-point", "--input", str(path), "--from", "0", "--to", "0"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["deep_point"] == 0 and payload["l3"] == "2/1"
+    code, out = run_cli(["coarse-check", "--input", str(path)])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ok"] is True and payload["rank_bound"] == 0
+
+
 def test_instance_bad_m_line_is_named():
     lines = _instance_lines()
     at = _first(lines, "m ") + 3

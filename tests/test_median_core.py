@@ -56,6 +56,17 @@ def test_vertexset_basics():
     assert s == VertexSet.of(8, [5, 3, 1])
 
 
+def test_distance_and_ball_reject_ids_out_of_range(grid3):
+    # numpy would wrap -1 around to vertex n - 1
+    assert grid3.distance(0, 8) == 4 and sorted(grid3.ball(8, 1)) == [5, 7, 8]
+    for x, y in ((-1, 3), (3, -1), (9, 0), (0, 9)):
+        with pytest.raises(ValueError, match="out of range 0..8"):
+            grid3.distance(x, y)
+    for x in (-1, 9):
+        with pytest.raises(ValueError, match="out of range 0..8"):
+            grid3.ball(x, 1)
+
+
 # -- median ------------------------------------------------------------
 
 
