@@ -30,11 +30,10 @@ from .cube_complex import (
     NormalCubePath,
     crosses,
     hyperplanes,
-    ncp_vertex,
     normal_cube_path,
     rank,
     separators,
-    witness_sets_cat0,
+    step_map,
 )
 from .propa_engine import (
     Cat0WitnessProvider,
@@ -74,8 +73,8 @@ __all__ = [
     "NotMedian", "PreconditionViolation", "ReductionFailure",
     "MedianGraph", "VertexSet", "deep_point_exact", "hull", "interval",
     "iterated_median", "join", "median", "reduce_generators",
-    "Hyperplane", "NormalCubePath", "crosses", "hyperplanes", "ncp_vertex",
-    "normal_cube_path", "rank", "separators", "witness_sets_cat0",
+    "Hyperplane", "NormalCubePath", "crosses", "hyperplanes",
+    "normal_cube_path", "rank", "separators", "step_map",
     "Cat0WitnessProvider", "PropACertificate", "SparseL1Vector", "certify",
     "chi", "eligible_sample", "variation", "verify_conditions", "xi",
     "CoarseMedianInstance", "CoarseParams", "CoarseWitnessProvider",

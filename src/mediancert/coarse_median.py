@@ -592,6 +592,9 @@ class CoarseWitnessProvider:
         self.inst = inst
         self.basepoint = int(basepoint)
         self.t = int(t)
+        if self.t < 1:
+            # scale() divides by t
+            raise ValueError(f"t {self.t} is below 1")
         self.r_floor = int(r_floor)
         self.params = _params(inst)
         self._deep: dict[tuple[int, int], int] = {}

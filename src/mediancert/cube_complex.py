@@ -1,4 +1,4 @@
-"""Walls of a median graph and greedy cube paths across them.
+"""Walls of a median graph and normal cube paths across them.
 
 A wall is an equivalence class of edges under the relation
 (a,b) ~ (c,d)  iff  d(a,c) + d(b,d) != d(a,d) + d(b,c),
@@ -7,21 +7,22 @@ and their sides are read off the sign codes of median_core; the code
 check there is exact (Hamming distance equals graph distance for every
 pair), and on a graph that passes it the relation is transitive and
 both sides of every wall are convex, so neither needs its own check.
-Cube paths walk from a vertex toward a target, at each step crossing
-every wall that is dual to an edge at the current vertex and still
-separates it from the target; those walls pairwise cross, so the step
-lands on the opposite corner of a cube.
+
+Normal cube paths (Niblo-Reeves) step toward a target across every
+wall dual to an edge at the current vertex that still separates it
+from the target.  Steps come from the codes, for all vertices at once,
+and must span a cube: on a median graph they always do, elsewhere a
+step that spans none raises CornerFailure.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CornerFailure, NotMedian
-from .median_core import MedianGraph, VertexSet
+from .median_core import _BLOCK_WORDS, MedianGraph, VertexSet, _mask_members
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,6 @@ def hyperplanes(g: MedianGraph) -> list[Hyperplane]:
             )
         )
     g._hyperplanes = walls
-    g._edge_to_wall = dict(zip(g.edges, codes.edge_wall.tolist()))
     return walls
 
 
@@ -178,82 +178,71 @@ class NormalCubePath:
         return self.vertices[min(j, len(self.vertices) - 1)]
 
 
-def _cross_walls(g: MedianGraph, start: int, wall_ids, walls) -> int:
-    v = start
-    for wid in wall_ids:
-        nxt = None
-        for u in g.adj[v]:
-            if g._edge_to_wall[(min(u, v), max(u, v))] == wid:
-                nxt = u
-                break
-        if nxt is None:
-            raise CornerFailure(
-                f"no edge dual to wall {wid} at vertex {v}",
-                vertex=v, wall=wid,
-            )
-        v = nxt
-    return v
+def step_map(g: MedianGraph, target: int) -> np.ndarray:
+    """nxt[v]: the far corner of v's cube step toward ``target``, or -1
+    where that step spans no cube; NotMedian when there are no codes.
+
+    The step's bits are inc[v] & (code[v] ^ code[target]), with inc[v]
+    the walls dual to v's edges; the corner has those bits of v's code
+    flipped.  Two walls of a step always cross: v, its neighbours across
+    each and the target fill their four quadrants.  The step spans a
+    cube when its interval holds 2^k vertices.  For k <= 2 the corner
+    settles that, as v's neighbour across each wall exists; wider steps
+    are counted, and 2^k > n cannot fit."""
+    if not 0 <= target < g.n:
+        raise ValueError(f"vertex {target} out of range 0..{g.n - 1}")
+    codes = g.wall_codes()
+    if codes is None:
+        _raise_wall_failure(g)
+    planes = codes.planes
+    words, n = planes.shape
+    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    wall = codes.edge_wall
+    bit = np.left_shift(np.uint64(1), (wall % 64).astype(np.uint64))
+    inc = np.zeros_like(planes)
+    for end in ends.T:
+        np.bitwise_or.at(inc, (wall // 64, end), bit)
+    step = inc & (planes ^ planes[:, target, None])
+    corner, ok = codes.locate(planes ^ step)
+    k = np.bitwise_count(step).sum(axis=0, dtype=np.int64)
+    ok &= k < n.bit_length()
+    wide = np.flatnonzero(ok & (k >= 3))
+    span = max(1, _BLOCK_WORDS // (n * words))
+    for lo in range(0, len(wide), span):
+        vs = wide[lo:lo + span]
+        outside = (planes[:, vs, None] ^ planes[:, None, :]) & ~step[:, vs, None]
+        ok[vs] &= (outside == 0).all(axis=0).sum(axis=1) == 1 << k[vs]
+    return np.where(ok, corner, -1)
+
+
+def _no_cube(v: int, target: int) -> CornerFailure:
+    """The error for a cube step at v toward target that spans no cube."""
+    return CornerFailure(
+        f"the cube step at vertex {v} toward {target} spans no cube",
+        vertex=v, target=target,
+    )
 
 
 def normal_cube_path(g: MedianGraph, x: int, target: int) -> NormalCubePath:
-    """Walk from x to target, greedily crossing at each vertex every
-    separating wall dual to an incident edge.  Step walls must pairwise
-    cross and the crossing order must not matter; violations raise."""
-    cache = getattr(g, "_ncp_cache", None)
-    if cache is None:
-        cache = g._ncp_cache = {}
-    hit = cache.get((x, target))
-    if hit is not None:
-        return hit
-    walls = hyperplanes(g)
-    d = g.dist
+    """Walk the step map from x to target; each step is read back as the
+    walls on which its two ends differ.  Raises CornerFailure at the
+    first vertex on the walk whose step spans no cube."""
+    x, target = int(x), int(target)
+    if not 0 <= x < g.n:
+        raise ValueError(f"vertex {x} out of range 0..{g.n - 1}")
+    nxt = step_map(g, target)
+    planes = g.wall_codes().planes
     v = x
     vertices = [x]
     steps = []
     while v != target:
-        step = sorted(
-            {
-                g._edge_to_wall[(min(u, v), max(u, v))]
-                for u in g.adj[v]
-                if d[u, target] < d[v, target]
-            }
-        )
-        for i in range(len(step)):
-            for j in range(i + 1, len(step)):
-                if not crosses(walls[step[i]], walls[step[j]]):
-                    raise NotMedian(
-                        "step walls do not pairwise cross",
-                        walls=(step[i], step[j]), vertex=v,
-                    )
-        corner = _cross_walls(g, v, step, walls)
-        shuffled = list(step)
-        random.Random(1000003 * x + 31 * target + len(steps)).shuffle(shuffled)
-        if _cross_walls(g, v, shuffled, walls) != corner:
-            raise CornerFailure(
-                "cube corner depends on crossing order",
-                vertex=v, step=tuple(step),
-            )
-        steps.append(frozenset(step))
-        vertices.append(corner)
-        v = corner
-    path = NormalCubePath(
+        w = int(nxt[v])
+        if w < 0:
+            raise _no_cube(v, target)
+        diff = (planes[:, v] ^ planes[:, w]).astype("<u8").tobytes()
+        steps.append(frozenset(_mask_members(int.from_bytes(diff, "little"))))
+        vertices.append(w)
+        v = w
+    return NormalCubePath(
         source=x, target=target, vertices=tuple(vertices), steps=tuple(steps)
-    )
-    cache[(x, target)] = path
-    return path
-
-
-def ncp_vertex(g: MedianGraph, y: int, target: int, j: int) -> int:
-    """Vertex after j cube steps on the path from y to target."""
-    return normal_cube_path(g, y, target).vertex_after(j)
-
-
-def witness_sets_cat0(g: MedianGraph, x0: int, x: int, k: int, l: int) -> VertexSet:
-    """Witness set at center x, radius index k, scale l: collect the
-    vertex reached after 3l cube steps toward the basepoint x0 from
-    every y within distance k of x."""
-    if not (1 <= k <= 3 * l):
-        raise ValueError(f"radius index {k} outside 1..{3 * l}")
-    return VertexSet.of(
-        g.n, (ncp_vertex(g, y, x0, 3 * l) for y in g.ball(x, k))
     )

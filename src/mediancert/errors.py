@@ -36,7 +36,8 @@ class NotMedian(MedianCertError):
 
 
 class CornerFailure(MedianCertError):
-    """Crossing a wall set edge-by-edge did not close up to a cube corner."""
+    """A cube step spans no cube: some of the 2^k vertices between its
+    ends, k the number of walls it crosses, are missing."""
 
     rule = "cube-corner"
 

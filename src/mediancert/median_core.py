@@ -322,11 +322,16 @@ class MedianGraph:
         key = (a, b) if a <= b else (b, a)
         m = self._interval_cache.get(key)
         if m is None:
+            if not (0 <= a < self.n and 0 <= b < self.n):
+                raise ValueError(f"vertex pair ({a},{b}) out of range 0..{self.n - 1}")
             m = _pack_mask(self.interval_row(a, b))
             self._interval_cache[key] = m
         return VertexSet(self.n, m)
 
     def median(self, x: int, y: int, z: int) -> int:
+        n = self.n
+        if not (0 <= x < n and 0 <= y < n and 0 <= z < n):
+            raise ValueError(f"vertex triple ({x},{y},{z}) out of range 0..{n - 1}")
         t = self._median_table
         if t is not None:
             return int(t[x, y, z])

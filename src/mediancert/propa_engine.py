@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cube_complex import normal_cube_path
+from .cube_complex import _no_cube, step_map
 from .errors import ConditionViolation, EmptySet
 from .median_core import MedianGraph, VertexSet, _mask_members, _mask_of, _pack_mask
 
@@ -126,16 +126,18 @@ class Cat0WitnessProvider:
         return self.graph.distance(x, y)
 
     def _endpoint_row(self, l: int) -> np.ndarray:
+        """Vertex reached after 3l cube steps from each vertex, by 3l
+        gathers through the step map.  Every vertex starts a path, so a
+        step anywhere that spans no cube raises CornerFailure."""
         row = self._endpoints.get(l)
         if row is None:
-            row = np.fromiter(
-                (
-                    normal_cube_path(self.graph, y, self.basepoint).vertex_after(3 * l)
-                    for y in range(self.graph.n)
-                ),
-                dtype=np.int32,
-                count=self.graph.n,
-            )
+            nxt = step_map(self.graph, self.basepoint)
+            bad = np.flatnonzero(nxt < 0)
+            if len(bad):
+                raise _no_cube(int(bad[0]), self.basepoint)
+            row = np.arange(self.graph.n)
+            for _ in range(3 * l):
+                row = nxt[row]
             self._endpoints[l] = row
         return row
 
@@ -145,6 +147,8 @@ class Cat0WitnessProvider:
         key = (x, k, l)
         s = self._sets.get(key)
         if s is None:
+            if not 0 <= x < self.graph.n:
+                raise ValueError(f"center {x} out of range 0..{self.graph.n - 1}")
             hit = np.zeros(self.graph.n, dtype=bool)
             hit[self._endpoint_row(l)[self.graph.dist[x] <= k]] = True
             s = VertexSet(self.graph.n, _pack_mask(hit))

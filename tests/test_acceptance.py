@@ -33,7 +33,6 @@ from mediancert.cube_complex import (
     normal_cube_path,
     rank,
     separators,
-    witness_sets_cat0,
 )
 from mediancert.harness_cli import generate
 from mediancert.median_core import VertexSet, deep_point_exact, interval, iterated_median, reduce_generators
@@ -287,6 +286,7 @@ def test_criterion_4_witness_set_containment(capsys):
         d = rank(g)
         assert d == 2
         x0 = 0
+        provider = Cat0WitnessProvider(g, x0)
         sets = 0
         for x in range(g.n):
             box = interval(g, x, x0)
@@ -295,7 +295,7 @@ def test_criterion_4_witness_set_containment(capsys):
                 ball = g.ball(x, reach)
                 cap = len(box & ball)
                 for k in range(1, 3 * l + 1):
-                    s = witness_sets_cat0(g, x0, x, k, l)
+                    s = provider.sets(x, k, l)
                     assert s <= box
                     assert max(g.distance(x, v) for v in s) <= reach
                     assert len(s) <= cap <= (12 * l * d + 1) ** 2

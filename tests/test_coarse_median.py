@@ -302,6 +302,13 @@ def test_provider_scales_and_sets(exact6):
         prov.sets(35, 4, 1)
 
 
+@pytest.mark.parametrize("t", [0, -1])
+def test_provider_rejects_t_below_one(exact6, t):
+    # scale() divides by t
+    with pytest.raises(ValueError, match="below 1"):
+        CoarseWitnessProvider(exact6, 0, t=t)
+
+
 def test_provider_report(exact6):
     from mediancert.propa_engine import eligible_sample, verify_conditions
 

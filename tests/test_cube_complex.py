@@ -9,12 +9,11 @@ from mediancert.cube_complex import (
     Hyperplane,
     crosses,
     hyperplanes,
-    ncp_vertex,
     normal_cube_path,
     rank,
     separators,
-    witness_sets_cat0,
 )
+from mediancert.propa_engine import Cat0WitnessProvider
 
 
 def incident_improving_walls(g, v, target):
@@ -161,8 +160,8 @@ def test_ncp_trivial_and_clamp(grid4):
     p = normal_cube_path(grid4, 7, 7)
     assert p.vertices == (7,) and p.steps == ()
     assert p.vertex_after(0) == 7 and p.vertex_after(9) == 7
-    assert ncp_vertex(grid4, 0, 15, 0) == 0
-    assert ncp_vertex(grid4, 0, 15, 50) == 15
+    assert normal_cube_path(grid4, 0, 15).vertex_after(0) == 0
+    assert normal_cube_path(grid4, 0, 15).vertex_after(50) == 15
 
 
 def test_ncp_invariants_exhaustive(grid4, tree23, stair4):
@@ -205,10 +204,28 @@ def test_ncp_steps_span_cubes(grid4, q4):
             assert all(len(us) == 1 for us in corners.values())
 
 
+def test_ncp_and_witness_sets_reject_ids_out_of_range(grid3):
+    # numpy would wrap -1 around to vertex n - 1
+    provider = Cat0WitnessProvider(grid3, 0)
+    for bad in (-1, 9):
+        with pytest.raises(ValueError, match="out of range 0..8"):
+            normal_cube_path(grid3, bad, 0)
+        with pytest.raises(ValueError, match="out of range 0..8"):
+            normal_cube_path(grid3, 0, bad)
+        with pytest.raises(ValueError, match="out of range 0..8"):
+            provider.sets(bad, 1, 1)
+
+
+def test_witness_sets_fail_on_a_step_without_a_cube(c6):
+    # vertex 0's step toward 3 crosses two walls whose square C6 lacks;
+    # it starts a path of its own, so the provider refuses every set
+    with pytest.raises(CornerFailure) as err:
+        Cat0WitnessProvider(c6, 3).sets(1, 1, 1)
+    assert err.value.context["vertex"] == 0
+
+
 def test_ncp_cached_and_deterministic(grid5):
     p1 = normal_cube_path(grid5, 3, 20)
-    p2 = normal_cube_path(grid5, 3, 20)
-    assert p1 is p2
     fresh = MedianGraph(grid5.n, list(grid5.edges))
     p3 = normal_cube_path(fresh, 3, 20)
     assert p3.vertices == p1.vertices and p3.steps == p1.steps
@@ -218,19 +235,19 @@ def test_ncp_cached_and_deterministic(grid5):
 
 
 def test_witness_sets_frozen(grid8):
-    got = witness_sets_cat0(grid8, 0, 63, 3, 1)
+    got = Cat0WitnessProvider(grid8, 0).sets(63, 3, 1)
     assert sorted(got) == [12, 19, 20, 26, 27, 28, 33, 34, 35, 36]
 
 
 def test_witness_sets_saturate(grid3):
     # 3l = 6 covers the whole distance 4, so every start lands on the base
-    assert sorted(witness_sets_cat0(grid3, 0, 8, 1, 2)) == [0]
+    assert sorted(Cat0WitnessProvider(grid3, 0).sets(8, 1, 2)) == [0]
 
 
 def test_witness_sets_basic_bounds(grid8):
     d = rank(grid8)
     for x, k, l in ((63, 3, 1), (45, 2, 1), (30, 5, 2)):
-        s = list(witness_sets_cat0(grid8, 0, x, k, l))
+        s = list(Cat0WitnessProvider(grid8, 0).sets(x, k, l))
         assert s
         for m in s:
             assert m in interval(grid8, x, 0)
@@ -241,6 +258,6 @@ def test_witness_sets_basic_bounds(grid8):
 
 def test_witness_sets_radius_validation(grid3):
     with pytest.raises(ValueError):
-        witness_sets_cat0(grid3, 0, 8, 0, 1)
+        Cat0WitnessProvider(grid3, 0).sets(8, 0, 1)
     with pytest.raises(ValueError):
-        witness_sets_cat0(grid3, 0, 8, 4, 1)
+        Cat0WitnessProvider(grid3, 0).sets(8, 4, 1)

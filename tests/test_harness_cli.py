@@ -543,3 +543,22 @@ def test_graph_kinds_constant():
     assert set(GRAPH_KINDS) == {
         "hypercube", "grid", "tree", "staircase", "median-closure",
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["propa", "--provider", "coarse", "--t", "0"],
+        ["propa", "--provider", "coarse", "--t", "-1"],
+        ["deep-point", "--from", "0", "--to", "4", "--t", "0"],
+    ],
+)
+def test_cli_t_below_one_is_invalid_input(tmp_path, argv):
+    inst = tmp_path / "c11.inst"
+    inst.write_text(write_instance_text(coarsened_grid(1, 1)))
+    code, out = run_cli(argv + ["--input", str(inst)])
+    assert code == 1
+    assert out.count("\n") == 1
+    payload = json.loads(out)
+    assert payload["error"] == "invalid-input"
+    assert "below 1" in payload["message"]

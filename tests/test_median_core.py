@@ -23,6 +23,7 @@ from mediancert.median_core import (
     reduce_generators,
 )
 from mediancert.cube_complex import hyperplanes, rank
+from mediancert.harness_cli import generate
 
 
 def brute_median_candidates(g, x, y, z):
@@ -65,6 +66,23 @@ def test_distance_and_ball_reject_ids_out_of_range(grid3):
     for x in (-1, 9):
         with pytest.raises(ValueError, match="out of range 0..8"):
             grid3.ball(x, 1)
+
+
+def test_interval_and_median_reject_ids_out_of_range():
+    # numpy would wrap -1 around to vertex n - 1: I(8, 0), and median 2
+    g = generate("grid", [2, 2])
+    for tabled in (False, True):
+        if tabled:
+            g.median_table()
+        for bad in (-1, 9):
+            with pytest.raises(ValueError, match="out of range 0..8"):
+                g.interval(bad, 0)
+            with pytest.raises(ValueError, match="out of range 0..8"):
+                g.interval(0, bad)
+            with pytest.raises(ValueError, match="out of range 0..8"):
+                g.median(bad, 0, 2)
+            with pytest.raises(ValueError, match="out of range 0..8"):
+                g.median(0, 2, bad)
 
 
 # -- median ------------------------------------------------------------

@@ -1,12 +1,15 @@
-"""Property tests: sign-code medians and walls, and the exhaustive
-coarse fit, against references built from the tables alone.
+"""Property tests: sign-code medians, walls and cube steps, and the
+exhaustive coarse fit, against references built from the tables alone.
 
 The references are deliberately naive: medians from the three pairwise
 intervals of every triple, walls from the edge relation
-(a,b) ~ (c,d) iff d(a,c) + d(b,d) != d(a,d) + d(b,c), H0 from the
-sextuple sweep at every K of the grid, and gamma from every 5-tuple.
+(a,b) ~ (c,d) iff d(a,c) + d(b,d) != d(a,d) + d(b,c), cube paths from
+an edge-by-edge walk across each step's walls, H0 from the sextuple
+sweep at every K of the grid, and gamma from every 5-tuple.
 """
 
+import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -25,10 +28,17 @@ from mediancert.coarse_median import (
     estimate_params,
     from_median_graph,
 )
-from mediancert.cube_complex import hyperplanes
-from mediancert.errors import MedianViolation, NotCoarseMedian, NotMedian
+from mediancert.cube_complex import crosses, hyperplanes, normal_cube_path
+from mediancert.errors import (
+    CornerFailure,
+    MedianCertError,
+    MedianViolation,
+    NotCoarseMedian,
+    NotMedian,
+)
 from mediancert.harness_cli import generate
 from mediancert.median_core import MedianGraph
+from mediancert.propa_engine import Cat0WitnessProvider
 
 SETTINGS = settings(
     max_examples=40,
@@ -201,9 +211,155 @@ def test_walls_match_theta_classes(family, data):
     got = hyperplanes(g)
     assert [h.index for h in got] == list(range(len(want)))
     assert [(h.edges, set(h.minus_side), set(h.plus_side)) for h in got] == want
+    wall_of = dict(zip(g.edges, g.wall_codes().edge_wall.tolist()))
     for h in got:
         for e in h.edges:
-            assert g._edge_to_wall[e] == h.index
+            assert wall_of[e] == h.index
+
+
+# -- cube steps -----------------------------------------------------------
+
+
+def _cross_walls(g, wall_of, start, wall_ids):
+    v = start
+    for wid in wall_ids:
+        nxt = None
+        for u in g.adj[v]:
+            if wall_of[(min(u, v), max(u, v))] == wid:
+                nxt = u
+                break
+        if nxt is None:
+            raise CornerFailure(
+                f"no edge dual to wall {wid} at vertex {v}",
+                vertex=v, wall=wid,
+            )
+        v = nxt
+    return v
+
+
+def reference_cube_path(g, x, target):
+    """(vertices, steps) of the edge-by-edge walk: at each vertex the
+    walls of the edges that get closer to the target, a pairwise
+    crossing check, then those walls crossed one edge at a time in
+    sorted and in a seeded shuffled order, which must meet."""
+    walls = hyperplanes(g)
+    wall_of = {e: h.index for h in walls for e in h.edges}
+    d = g.dist
+    v = x
+    vertices = [x]
+    steps = []
+    while v != target:
+        step = sorted(
+            {
+                wall_of[(min(u, v), max(u, v))]
+                for u in g.adj[v]
+                if d[u, target] < d[v, target]
+            }
+        )
+        for i in range(len(step)):
+            for j in range(i + 1, len(step)):
+                if not crosses(walls[step[i]], walls[step[j]]):
+                    raise NotMedian(
+                        "step walls do not pairwise cross",
+                        walls=(step[i], step[j]), vertex=v,
+                    )
+        corner = _cross_walls(g, wall_of, v, step)
+        shuffled = list(step)
+        random.Random(1000003 * x + 31 * target + len(steps)).shuffle(shuffled)
+        if _cross_walls(g, wall_of, v, shuffled) != corner:
+            raise CornerFailure(
+                "cube corner depends on crossing order",
+                vertex=v, step=tuple(step),
+            )
+        steps.append(frozenset(step))
+        vertices.append(corner)
+        v = corner
+    return vertices, steps
+
+
+def spans_cube(g, v, w):
+    """Brute force: the interval of a step across k walls holds 2^k vertices."""
+    return int(g.interval_row(v, w).sum()) == 2 ** int(g.dist[v, w])
+
+
+def cube_less_one(dim, gone):
+    pts = [p for p in range(1 << dim) if p != gone]
+    idx = {p: i for i, p in enumerate(pts)}
+    edges = [(idx[p], idx[q]) for p in pts for q in pts if p < q and (p ^ q).bit_count() == 1]
+    return MedianGraph(len(pts), edges), idx
+
+
+@st.composite
+def cubes_less_one(draw):
+    dim = draw(st.sampled_from([3, 4]))
+    return cube_less_one(dim, draw(st.integers(0, (1 << dim) - 1)))[0]
+
+
+STEP_FAMILIES = {
+    **FAMILIES,
+    "cube-less-one": cubes_less_one(),
+    "c6-c8": st.sampled_from([6, 8]).map(
+        lambda n: MedianGraph(n, [(i, (i + 1) % n) for i in range(n)])
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(STEP_FAMILIES))
+@SETTINGS
+@given(data=st.data())
+def test_step_map_matches_edge_walk(family, data):
+    g = data.draw(STEP_FAMILIES[family])
+    target = data.draw(st.integers(0, g.n - 1))
+    rules = set()
+    for x in range(g.n):
+        try:
+            vertices, steps = reference_cube_path(g, x, target)
+        except MedianCertError as exc:
+            # the step map never accepts what the walk refused
+            with pytest.raises(MedianCertError) as info:
+                normal_cube_path(g, x, target)
+            assert info.value.rule == exc.rule
+            rules.add(exc.rule)
+            continue
+        try:
+            got = normal_cube_path(g, x, target)
+        except CornerFailure as exc:
+            # stricter than the walk: the first step on its path that
+            # spans no cube
+            bad = [v for v, w in zip(vertices, vertices[1:]) if not spans_cube(g, v, w)]
+            assert bad and exc.context["vertex"] == bad[0]
+            rules.add(exc.rule)
+            continue
+        assert list(got.vertices) == vertices and list(got.steps) == steps
+        walls = hyperplanes(g)
+        for v, w, step in zip(vertices, vertices[1:], steps):
+            assert spans_cube(g, v, w)
+            assert all(crosses(walls[a], walls[b]) for a, b in itertools.combinations(step, 2))
+    # every vertex starts a path, so the witness rows fail exactly when
+    # some path does
+    provider = Cat0WitnessProvider(g, target)
+    if rules:
+        with pytest.raises(MedianCertError) as info:
+            provider._endpoint_row(1)
+        assert info.value.rule in rules
+        return
+    for level in (1, 2):
+        want = [normal_cube_path(g, y, target).vertex_after(3 * level) for y in range(g.n)]
+        assert provider._endpoint_row(level).tolist() == want
+
+
+def test_step_spanning_no_cube_raises():
+    # Q3 less 000: from 101 toward 010 all three walls get closer, and
+    # both edge walks go round the gap to 010, but the 3-cube they would
+    # span lacks 000
+    g, idx = cube_less_one(3, 0)
+    x, target = idx[0b101], idx[0b010]
+    vertices, steps = reference_cube_path(g, x, target)
+    assert vertices == [x, target] and len(steps[0]) == 3
+    assert not spans_cube(g, x, target)
+    with pytest.raises(CornerFailure) as info:
+        normal_cube_path(g, x, target)
+    assert info.value.context["vertex"] == x
 
 
 # -- exhaustive coarse fit ------------------------------------------------
