@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cube_complex import rank as graph_rank
+from .cube_complex import crossing_rank, rank as graph_rank
 from .errors import (
     BudgetExceeded,
     ConditionViolation,
@@ -31,7 +31,7 @@ from .errors import (
     NotFound,
     PreconditionViolation,
 )
-from .median_core import MedianGraph, VertexSet
+from .median_core import MedianGraph, VertexSet, majority_closure
 
 INSTANCE_LIMIT = 160
 K_GRID = [Fraction(4 + i, 4) for i in range(29)]  # 1, 1.25, ..., 8
@@ -96,12 +96,16 @@ class CoarseMedianInstance:
         self.d = int(d)
         self.dist_int: np.ndarray | None = None
         self.dist_frac: list[list[Fraction]] | None = None
-        if all(Fraction(v).denominator == 1 for row in dist for v in row):
-            self.dist_int = np.array(
-                [[int(Fraction(v)) for v in row] for row in dist], dtype=np.int32
-            )
+        rows = [[Fraction(v) for v in row] for row in dist]
+        if all(v.denominator == 1 for row in rows for v in row):
+            ints = [[v.numerator for v in row] for row in rows]
+            far = [(i, j) for i, r in enumerate(ints) for j, v in enumerate(r) if not -2**31 < v < 2**31]
+            if far:
+                i, j = far[0]
+                raise ValueError(f"distance d({i},{j}) = {ints[i][j]} is outside the int32 range")
+            self.dist_int = np.array(ints, dtype=np.int32)
         else:
-            self.dist_frac = [[Fraction(v) for v in row] for row in dist]
+            self.dist_frac = rows
         self._validate_metric()
         self.ambient = ambient
         self.point_to_ambient = point_to_ambient
@@ -119,29 +123,19 @@ class CoarseMedianInstance:
     def _validate_metric(self) -> None:
         n = self.n
         if self.dist_int is not None:
-            d = self.dist_int
-            if d.shape != (n, n):
-                raise ValueError("metric table shape mismatch")
-            if np.any(np.diag(d) != 0) or np.any(d != d.T):
-                raise ValueError("metric is not symmetric with zero diagonal")
-            if np.any((d == 0) & ~np.eye(n, dtype=bool)):
-                raise ValueError("distinct points at distance zero")
-            if np.any(d[:, :, None] + d[None, :, :] < d[:, None, :]):
-                raise ValueError("triangle inequality fails")
-            return
-        if len(self.dist_frac) != n or any(len(r) != n for r in self.dist_frac):
+            d = self.dist_int.astype(np.int64)  # an int32 sum can wrap around
+        else:
+            d = np.array(self.dist_frac, dtype=object)
+        if d.shape != (n, n):
             raise ValueError("metric table shape mismatch")
-        for i in range(n):
-            if self.dist_frac[i][i] != 0:
-                raise ValueError("nonzero diagonal")
-            for j in range(n):
-                if self.dist_frac[i][j] != self.dist_frac[j][i]:
-                    raise ValueError("metric is not symmetric")
-                if i != j and self.dist_frac[i][j] <= 0:
-                    raise ValueError("nonpositive distance")
-        for i, j, k in itertools.product(range(n), repeat=3):
-            if self.dist_frac[i][j] + self.dist_frac[j][k] < self.dist_frac[i][k]:
-                raise ValueError("triangle inequality fails")
+        if np.any(np.diag(d) != 0) or np.any(d != d.T):
+            raise ValueError("metric is not symmetric with zero diagonal")
+        if np.any((d == 0) & ~np.eye(n, dtype=bool)):
+            raise ValueError("distinct points at distance zero")
+        step = max(1, 2**17 // (n * n))  # rows i per block: d(i,j) + d(j,k) >= d(i,k)
+        for lo in range(0, n, step):
+            if np.any(d[lo:lo + step, :, None] + d < d[lo:lo + step, None, :]):
+                raise ValueError("triangle inequality fails")  # also when some d < 0
 
     # -- operation ---------------------------------------------------
 
@@ -415,19 +409,20 @@ def check_lemma_6_5(inst: CoarseMedianInstance, a: int, b: int, h: int, m: int, 
 # -- exact finite approximation --------------------------------------
 
 
-def median_closure(g: MedianGraph, a: VertexSet, cap: int = CLOSURE_CAP) -> VertexSet:
-    """Smallest median-stable superset of ``a``; BudgetExceeded beyond
-    ``cap`` points."""
-    tab = g.median_table()
-    cur = np.array(sorted(a), dtype=np.int64)
-    while True:
-        vals = np.unique(tab[np.ix_(cur, cur, cur)].astype(np.int64))
-        merged = np.union1d(cur, vals)
-        if len(merged) > cap:
-            raise BudgetExceeded("median closure exceeded its cap", cap=cap)
-        if len(merged) == len(cur):
-            return VertexSet.of(g.n, cur.tolist())
-        cur = merged
+def median_closure(g: MedianGraph, a, cap: int = CLOSURE_CAP) -> VertexSet:
+    """Smallest median-stable superset of the vertices ``a``, closed on
+    the sign codes: on a partial cube the three intervals of a triple
+    meet in the vertex whose code is the majority of theirs, or in none.
+    BudgetExceeded when a round leaves more than ``cap`` points.  A
+    majority that is no vertex's code, or a graph without codes, raises
+    what verify_medians raises: the graph's first bad triple."""
+    codes = g.wall_codes()
+    if codes is None:
+        g.verify_medians()
+    v, hit = codes.locate(majority_closure(codes.planes[:, list(a)], cap))
+    if not hit.all():
+        g.verify_medians()
+    return VertexSet.of(g.n, v.tolist())
 
 
 @dataclass
@@ -443,39 +438,31 @@ class C2Report:
 
 
 def verify_C2_exact(g: MedianGraph, a, cap: int = CLOSURE_CAP) -> C2Report:
-    """Close ``a`` under medians inside the graph and verify the
-    finite-approximation conditions with zero defect: the closure is
-    stable triple-by-triple (so restriction and inclusion commute with
-    the operation exactly) and its own rank does not exceed the
-    graph's.  The closure's intrinsic graph has an edge where an
-    intrinsic interval has exactly two points."""
-    if not isinstance(a, VertexSet):
-        a = VertexSet.of(g.n, a)
+    """Close ``a`` under medians inside the graph and report the
+    finite-approximation conditions with zero defect.  ``h_p``, how far
+    medians of the closure's triples land outside it, is 0 because the
+    closure is a fixpoint of the same operation.
+
+    The closure's rank comes from the ambient walls restricted to it:
+    its halfspaces are exactly the non-trivial traces of ambient
+    halfspaces.  A trace is convex in the closure, and so is its
+    complement, since an interval of the closure is the ambient one cut
+    down to it ([u, v] is the set of x with m(u, v, x) = x).  Conversely
+    let a, b be adjacent in the closure, and W an ambient wall between
+    them.  Each x of the closure has m(a, b, x) = a or b, on a geodesic
+    from x to the other end, which crosses W once, between a and b; so x
+    lies on the side of W of m(a, b, x), and W's trace is the closure's
+    halfspace of the edge (a, b).  Constant columns are dropped;
+    repeated or complementary ones never cross, so they need no dedupe.
+    Walls that cross on the closure cross in the graph, so
+    closure_rank <= graph_rank."""
     pi = median_closure(g, a, cap)
-    mem = pi.members()
-    tab = g.median_table()
-    sub = tab[np.ix_(mem, mem, mem)]
-    h_p = Fraction(0)
-    inside = set(mem)
-    for v in np.unique(sub):
-        if int(v) not in inside:
-            h_p = max(h_p, min(Fraction(g.distance(int(v), u)) for u in mem))
-    packed = g.packed_intervals()
-    own = np.zeros((g.n + 7) // 8, dtype=np.uint8)
-    for v in mem:
-        own[v >> 3] |= 1 << (v & 7)
-    sub_iv = packed[np.ix_(mem, mem)] & own[None, None, :]
-    counts = np.unpackbits(sub_iv, axis=2).sum(axis=2, dtype=np.int32)
-    iu, ju = np.nonzero(np.triu(counts == 2, 1))
-    edges = list(zip(iu.tolist(), ju.tolist()))
-    closure_rank = 0
-    if len(mem) > 1:
-        closure_graph = MedianGraph(len(mem), edges)
-        closure_rank = graph_rank(closure_graph)
+    sides = g.wall_codes().sides()[pi.members()]
+    varies = sides.any(axis=0) & ~sides.all(axis=0)
     return C2Report(
         closure=pi,
-        h_p=h_p,
-        closure_rank=closure_rank,
+        h_p=Fraction(0),
+        closure_rank=crossing_rank(sides[:, varies]),
         graph_rank=graph_rank(g),
     )
 

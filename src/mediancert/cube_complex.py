@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CornerFailure, NotMedian
-from .median_core import _BLOCK_WORDS, MedianGraph, VertexSet, _mask_members
+from .median_core import _BLOCK_WORDS, MedianGraph, VertexSet, WallCodes, _mask_members, _pack_mask
 
 
 @dataclass(frozen=True)
@@ -50,41 +50,22 @@ def _edge_relation(g: MedianGraph) -> np.ndarray:
     return lhs != rhs
 
 
-def _raise_wall_failure(g: MedianGraph) -> None:
-    """Name why a graph without sign codes has no wall structure: an
-    odd cycle, or an edge pair the relation joins only transitively (a
-    bipartite graph with a transitive relation is a partial cube)."""
+def _codes(g: MedianGraph) -> WallCodes:
+    """The sign codes, or NotMedian naming why there are none: an odd
+    cycle, or two edges that the relation joins in two steps but not in
+    one (a bipartite graph with a transitive relation is a partial
+    cube)."""
+    codes = g.wall_codes()
+    if codes is not None:
+        return codes
     color = g.dist[0] % 2
     for u, v in g.edges:
         if color[u] == color[v]:
             raise NotMedian("graph has an odd cycle", edge=(u, v))
     rel = _edge_relation(g)
-    m = len(g.edges)
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in np.argwhere(np.triu(rel, 1)):
-        ri, rj = find(int(i)), find(int(j))
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    classes: dict[int, list[int]] = {}
-    for i in range(m):
-        classes.setdefault(find(i), []).append(i)
-    for root in sorted(classes):
-        members = classes[root]
-        sub = rel[np.ix_(members, members)]
-        if not sub.all():
-            i, j = np.argwhere(~sub)[0]
-            raise NotMedian(
-                "edge relation is not transitive",
-                edges=(g.edges[members[int(i)]], g.edges[members[int(j)]]),
-            )
-    raise AssertionError("a bipartite graph with a transitive edge relation is a partial cube")
+    hops = rel.astype(np.float32)
+    i, j = np.argwhere((hops @ hops > 0) & ~rel)[0]
+    raise NotMedian("edge relation is not transitive", edges=(g.edges[i], g.edges[j]))
 
 
 def hyperplanes(g: MedianGraph) -> list[Hyperplane]:
@@ -92,29 +73,17 @@ def hyperplanes(g: MedianGraph) -> list[Hyperplane]:
     is the side of that edge's smaller endpoint.  Raises NotMedian
     when the graph has no sign codes, naming an odd cycle or an
     intransitive edge pair."""
-    if g._hyperplanes is not None:
-        return g._hyperplanes
-    codes = g.wall_codes()
-    if codes is None:
-        _raise_wall_failure(g)
-    plus = np.packbits(codes.sides().T, axis=1, bitorder="little")
-    full = (1 << g.n) - 1
-    members: list[list[tuple[int, int]]] = [[] for _ in range(codes.count)]
-    for e, w in zip(g.edges, codes.edge_wall.tolist()):
-        members[w].append(e)
-    walls = []
-    for index, row in enumerate(plus):
-        mask = int.from_bytes(row.tobytes(), "little")
-        walls.append(
-            Hyperplane(
-                index=index,
-                edges=frozenset(members[index]),
-                minus_side=VertexSet(g.n, full & ~mask),
-                plus_side=VertexSet(g.n, mask),
-            )
-        )
-    g._hyperplanes = walls
-    return walls
+    if g._hyperplanes is None:
+        codes = _codes(g)
+        members: list[list[tuple[int, int]]] = [[] for _ in range(codes.count)]
+        for e, w in zip(g.edges, codes.edge_wall.tolist()):
+            members[w].append(e)
+        full = (1 << g.n) - 1
+        g._hyperplanes = [
+            Hyperplane(index, frozenset(edges), VertexSet(g.n, full & ~mask), VertexSet(g.n, mask))
+            for index, (edges, mask) in enumerate(zip(members, map(_pack_mask, codes.sides().T)))
+        ]
+    return g._hyperplanes
 
 
 def crosses(h1: Hyperplane, h2: Hyperplane) -> bool:
@@ -124,18 +93,19 @@ def crosses(h1: Hyperplane, h2: Hyperplane) -> bool:
     return bool(m1 & m2 and m1 & p2 and p1 & m2 and p1 & p2)
 
 
-def rank(g: MedianGraph) -> int:
-    """Largest pairwise-crossing wall set (= top cube dimension)."""
-    if g._rank is not None:
-        return g._rank
-    hs = hyperplanes(g)
-    n = len(hs)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if crosses(hs[i], hs[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+def crossing_rank(sides: np.ndarray) -> int:
+    """Largest family of pairwise-crossing columns of a sign matrix
+    (vertices x walls, True on the plus side).  Two walls cross when all
+    four quadrants hold a vertex: the plus-plus counts are one matrix
+    product, the other three follow from it and the column sums (float32
+    counts are exact below 2**24 vertices).  Branch and bound over the
+    crossing bitmasks."""
+    s = sides.astype(np.float32)
+    both = s.T @ s
+    plus = s.sum(axis=0)
+    only = plus[:, None] - both  # plus side of the row wall, minus side of the column wall
+    cross = (both > 0) & (only > 0) & (only.T > 0) & (len(s) - plus[:, None] - only.T > 0)
+    adj = [_pack_mask(row) for row in cross]
     best = 0
 
     def grow(cand: int, size: int) -> None:
@@ -150,9 +120,16 @@ def rank(g: MedianGraph) -> int:
             cand ^= low
             grow(cand & adj[v], size + 1)
 
-    grow((1 << n) - 1, 0)
-    g._rank = best
+    grow((1 << len(adj)) - 1, 0)
     return best
+
+
+def rank(g: MedianGraph) -> int:
+    """Largest pairwise-crossing wall set (= top cube dimension), from
+    the sign matrix; NotMedian when there are no codes."""
+    if g._rank is None:
+        g._rank = crossing_rank(_codes(g).sides())
+    return g._rank
 
 
 def separators(g: MedianGraph, x: int, y: int) -> frozenset[int]:
@@ -191,9 +168,7 @@ def step_map(g: MedianGraph, target: int) -> np.ndarray:
     are counted, and 2^k > n cannot fit."""
     if not 0 <= target < g.n:
         raise ValueError(f"vertex {target} out of range 0..{g.n - 1}")
-    codes = g.wall_codes()
-    if codes is None:
-        _raise_wall_failure(g)
+    codes = _codes(g)
     planes = codes.planes
     words, n = planes.shape
     ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)

@@ -45,7 +45,7 @@ from .errors import (
     MedianCertError,
     MedianViolation,
 )
-from .median_core import MedianGraph
+from .median_core import _MASK64, MedianGraph, majority_closure
 from .propa_engine import (
     CSV_HEADER,
     Cat0WitnessProvider,
@@ -108,28 +108,6 @@ def _staircase(n: int) -> MedianGraph:
     return MedianGraph(3 * n + 1, edges)
 
 
-def _majority_closure(points, cap: int) -> list[int]:
-    cur = set(int(p) for p in points)
-    while True:
-        fresh = set()
-        lst = sorted(cur)
-        for i, a in enumerate(lst):
-            for b in lst[i + 1:]:
-                both = a & b
-                either = a | b
-                for c in lst:
-                    m = both | (either & c)
-                    if m not in cur:
-                        fresh.add(m)
-        if not fresh:
-            return sorted(cur)
-        cur |= fresh
-        if len(cur) > cap:
-            raise BudgetExceeded(
-                "majority closure exceeded its cap", cap=cap, size=len(cur)
-            )
-
-
 def _closure_graph(n_pts: int, d: int, seed: int, cap: int = 4096) -> MedianGraph:
     """Sample n_pts hypercube vertices, close under bitwise majority,
     take the induced subgraph.  Retries seeds that land on a
@@ -137,14 +115,24 @@ def _closure_graph(n_pts: int, d: int, seed: int, cap: int = 4096) -> MedianGrap
     rng = random.Random(seed)
     space = 1 << d
     for _ in range(64):
-        pts = rng.sample(range(space), min(n_pts, space))
-        closure = _majority_closure(pts, cap)
-        idx = {v: i for i, v in enumerate(closure)}
+        if space <= sys.maxsize:
+            pts = rng.sample(range(space), min(n_pts, space))
+        else:  # the draws sample makes, on a range too long for len()
+            pts = []
+            while len(pts) < n_pts:
+                p = rng.randrange(space)
+                if p not in pts:
+                    pts.append(p)
+        words = [[p >> 64 * j & _MASK64 for p in pts] for j in range(max(1, -(-d // 64)))]
+        closure = sorted(
+            sum(int(w) << 64 * j for j, w in enumerate(col))
+            for col in majority_closure(np.array(words, dtype=np.uint64), cap).T
+        )
         edges = [
-            (idx[u], idx[v])
+            (i, j)
             for i, u in enumerate(closure)
-            for v in closure[i + 1:]
-            if (u ^ v).bit_count() == 1
+            for j in range(i + 1, len(closure))
+            if (u ^ closure[j]).bit_count() == 1
         ]
         try:
             g = MedianGraph(len(closure), edges)
@@ -323,7 +311,10 @@ def _parse_instance_lines(lines: list[str], graph: MedianGraph | None) -> Coarse
         elif line == "mu explicit":
             have_mu = True
         elif parts[0] == "d" and len(parts) == 4:
-            metric[(int(parts[1]), int(parts[2]))] = Fraction(parts[3])
+            try:
+                metric[(int(parts[1]), int(parts[2]))] = Fraction(parts[3])
+            except ZeroDivisionError:
+                raise ValueError(f"line {no + 1}: zero denominator in {raw!r}") from None
         elif parts[0] == "m" and len(parts) == 5:
             more_rows.append([int(x) for x in parts[1:]])
         else:
@@ -443,6 +434,8 @@ class RunConfig:
             raise ValueError("sample must be positive")
         if self.t < 1:
             raise ValueError(f"--t {self.t} is below 1")
+        if self.r is not None and self.r < 1:
+            raise ValueError(f"--r {self.r} is below 1")
 
 
 def _check_vertex(flag: str, v: int, n: int) -> None:

@@ -177,6 +177,43 @@ def _wall_codes(dist: np.ndarray, edges) -> WallCodes | None:
     return WallCodes(planes, edge_wall, count)
 
 
+def _distinct(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct columns of word planes, in code order; the index of the
+    first occurrence of each)."""
+    order = np.lexsort(cols[::-1])
+    cols = cols[:, order]
+    first = np.concatenate([[True], (cols[:, 1:] != cols[:, :-1]).any(axis=0)])
+    return cols[:, first], order[first]
+
+
+def majority_closure(words: np.ndarray, cap: int) -> np.ndarray:
+    """The columns of ``words`` (word planes: row j holds word j of each
+    point) closed under bitwise majority, distinct and in code order.
+    Each round adds the majorities of all triples of the points it
+    starts with; those of triples without a point the last round added
+    are already in.  BudgetExceeded when a round leaves more than
+    ``cap`` points."""
+    cur = np.asarray(words, dtype=np.uint64)
+    fresh = np.arange(cur.shape[1])
+    while len(fresh):
+        k = cur.shape[1]
+        merged, old = cur, np.ones(k, dtype=bool)
+        span = max(1, _BLOCK_WORDS // (len(cur) * k))  # (x, y) pairs per block
+        sx = min(len(fresh), span)
+        sy = span // sx
+        for lo, y0 in itertools.product(range(0, len(fresh), sx), range(0, k, sy)):
+            xs = cur[:, fresh[lo:lo + sx], None, None]
+            ys = cur[:, None, y0:y0 + sy, None]
+            zs = cur[:, None, None, :]
+            maj = ((xs & (ys | zs)) | (ys & zs)).reshape(len(cur), -1)
+            merged, first = _distinct(np.concatenate([merged, maj], axis=1))
+            old = np.concatenate([old, np.zeros(maj.shape[1], dtype=bool)])[first]
+        if merged.shape[1] > cap:
+            raise BudgetExceeded("majority closure exceeded its cap", cap=cap, size=merged.shape[1])
+        cur, fresh = merged, np.flatnonzero(~old)
+    return cur
+
+
 class VertexSet:
     """Immutable subset of 0..n-1 backed by an int bitmask."""
 
@@ -254,6 +291,9 @@ class MedianGraph:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u},{v}) out of range")
             seen.add((min(u, v), max(u, v)))
+        if len(seen) < self.n - 1:
+            # before the n adjacency lists a bare header would allocate
+            raise ValueError("graph is not connected")
         self.edges: list[tuple[int, int]] = sorted(seen)
         self.adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
@@ -271,8 +311,6 @@ class MedianGraph:
 
     def _all_pairs(self) -> np.ndarray:
         if not self.edges:
-            if self.n > 1:
-                raise ValueError("graph is not connected")
             return np.zeros((1, 1), dtype=np.int32)
         if self.n <= 64:
             # scipy's sparse machinery costs more than the walk itself here

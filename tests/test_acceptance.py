@@ -63,18 +63,35 @@ def axiom_m1_m2(tab):
 
 
 def axiom_m3(tab):
-    """Projection onto a pair distributes over the operation; after
-    axiom_m1_m2 passes, sweeping a <= b covers every instance."""
+    """Projection onto a pair distributes over the operation:
+    m(a, b, m(x, y, z)) = m(m(a, b, x), m(a, b, y), z).  After
+    axiom_m1_m2 passes, sweeping a < b and x < y covers every instance.
+    By full symmetry both sides are symmetric in a, b and in x, y; by
+    absorption (m(u, u, w) = u) both sides are a when a = b, and both
+    are m(a, b, x) when x = y."""
     n = tab.shape[0]
-    idx = np.arange(n)
+    xs, ys = np.triu_indices(n, 1)
+    inner = tab[xs, ys]  # inner[p, z] = m(xs[p], ys[p], z)
     for a in range(n):
-        for b in range(a, n):
+        for b in range(a + 1, n):
             row = tab[a, b]
-            lhs = row[tab]
-            rhs = tab[row[:, None, None], row[None, :, None], idx[None, None, :]]
-            if not np.array_equal(lhs, rhs):
+            if not np.array_equal(row[inner], tab[row[xs], row[ys]]):
                 return False
     return True
+
+
+def test_axiom_m3_catches_one_altered_orbit():
+    # a median table with the value of one triple changed in all six
+    # argument orders keeps m1/m2 and must fail the half sweep
+    for g in (generate("hypercube", [3]), generate("grid", [2, 2])):
+        tab = g.median_table()
+        assert axiom_m3(tab)
+        for x, y, z in itertools.combinations(range(g.n), 3):
+            for w in set(range(g.n)) - {int(tab[x, y, z])}:
+                bad = tab.copy()
+                for p in itertools.permutations((x, y, z)):
+                    bad[p] = w
+                assert axiom_m1_m2(bad) and not axiom_m3(bad), (x, y, z, w)
 
 
 def packed_interval_masks(g):

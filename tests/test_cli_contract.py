@@ -1,4 +1,5 @@
-"""The CLI boundary contract, as a property over generated argv.
+"""The CLI boundary contract, as a property over generated argv and
+over malformed input files.
 
 Every call of ``main`` ends in one of two ways: a result with exit 0,
 or exit 1 with exactly one JSON object on stdout, whose ``error`` (when
@@ -87,17 +88,80 @@ def argvs(draw):
 @example(case=(["deep-point", "--from=0", "--to=4", "--t=0"], "coarse-grid"))
 def test_cli_ends_in_result_or_one_error(files, case):
     argv, name = case
+    run_contract(argv + ["--input", files[name]])
+
+
+def run_contract(argv) -> dict | None:
+    """Run ``main`` and check the contract; the JSON object it printed,
+    or None for a rank result."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main(argv + ["--input", files[name]])
+        code = main(argv)
     assert code in (0, 1)
     out = buf.getvalue()
     assert out.endswith("\n") and out.count("\n") == 1, out
     if argv[0] == "rank" and code == 0:
         assert int(out) >= 0
-        return
+        return None
     payload = json.loads(out)
     assert isinstance(payload, dict)
     if "error" in payload:
         assert code == 1
         assert payload["error"] in RULES
+    return payload
+
+
+def instance_text(distances, points=2):
+    """An instance file with the given "d" lines and the median
+    operation of a path on ``points`` points."""
+    mu = "".join(
+        f"m {i} {j} {k} {sorted((i, j, k))[1]}\n"
+        for i in range(points) for j in range(points) for k in range(points)
+    )
+    return f"points {points}\nmetric explicit\n{distances}mu explicit\n{mu}"
+
+
+MALFORMED = {
+    "truncated edge": "vertices 3\ne 0 1\ne 1\n",
+    "truncated header": "vertices\ne 0 1\n",
+    "duplicate edge": "vertices 3\ne 0 1\ne 1 0\ne 1 2\n",
+    "disconnected": "vertices 4\ne 0 1\ne 2 3\n",
+    "huge id": "vertices 3\ne 0 1\ne 1 99999999999999999999\n",
+    "negative id": "vertices 3\ne 0 1\ne 1 -1\n",
+    # ten billion adjacency lists would be built before the
+    # connectivity check
+    "oversized header": "vertices 10000000000\ne 0 1\n",
+    "truncated d line": instance_text("d 0 1\n"),
+    "truncated m line": instance_text("d 0 1 1\n") + "m 0 0\n",
+    "zero denominator": instance_text("d 0 1 1/0\n"),
+    "above int32": instance_text("d 0 1 99999999999\n"),
+    "below int32": instance_text("d 0 1 -99999999999\n"),
+    "above int64": instance_text("d 0 1 99999999999999999999999\n"),
+    "huge point id": instance_text("d 0 99999999999999999999 1\n"),
+    "oversized points header": "points 99999999999999999999\n",
+}
+
+COMMANDS = [
+    ["validate"], ["hyperplanes"], ["rank"], ["ncp", "--from", "0", "--to", "1"],
+    ["propa"], ["propa", "--provider", "coarse"], ["coarse-check"],
+    ["deep-point", "--from", "0", "--to", "1"],
+]
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_file_ends_in_one_error(tmp_path, name):
+    path = tmp_path / "input.txt"
+    path.write_text(MALFORMED[name])
+    for command in COMMANDS:
+        payload = run_contract(command + ["--input", str(path)])
+        assert payload is not None and "error" in payload, (command, payload)
+
+
+def test_metric_past_int32_in_sums_is_valid(tmp_path):
+    # d(0,1) + d(1,2) wraps around in int32; the metric is valid
+    path = tmp_path / "wide.txt"
+    path.write_text(instance_text(
+        "d 0 1 2000000000\nd 1 2 2000000000\nd 0 2 1\n", points=3
+    ))
+    payload = run_contract(["validate", "--input", str(path)])
+    assert payload["kind"] == "instance" and payload["points"] == 3

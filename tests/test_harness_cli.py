@@ -462,7 +462,9 @@ def test_cli_deep_point(grid3_file):
         ["deep-point", "--input", grid3_file, "--from", "0", "--to", "8", "--r", "0"]
     )
     assert code == 1
-    assert json.loads(out)["deep_point"] is None
+    payload = json.loads(out)
+    assert payload["error"] == "invalid-input"
+    assert payload["message"] == "--r 0 is below 1"
 
 
 def test_cli_invalid_inputs(tmp_path):

@@ -1,11 +1,15 @@
-"""Property tests: sign-code medians, walls and cube steps, and the
-exhaustive coarse fit, against references built from the tables alone.
+"""Property tests: sign-code medians, walls, cube steps, closures and
+ranks, and the exhaustive coarse fit, against references built from the
+tables alone.
 
 The references are deliberately naive: medians from the three pairwise
 intervals of every triple, walls from the edge relation
 (a,b) ~ (c,d) iff d(a,c) + d(b,d) != d(a,d) + d(b,c), cube paths from
-an edge-by-edge walk across each step's walls, H0 from the sextuple
-sweep at every K of the grid, and gamma from every 5-tuple.
+an edge-by-edge walk across each step's walls, median closures from the
+median table, ranks from pairwise ``crosses`` (for a closure, on its own
+graph from the packed interval table), majority closures on Python ints,
+H0 from the sextuple sweep at every K of the grid, and gamma from every
+5-tuple.
 """
 
 import itertools
@@ -19,6 +23,7 @@ from hypothesis import strategies as st
 
 from mediancert import coarse_median
 from mediancert.coarse_median import (
+    CLOSURE_CAP,
     K_GRID,
     CoarseMedianInstance,
     _defect_exhaustive,
@@ -27,9 +32,12 @@ from mediancert.coarse_median import (
     _slot_envelope,
     estimate_params,
     from_median_graph,
+    median_closure,
+    verify_C2_exact,
 )
-from mediancert.cube_complex import crosses, hyperplanes, normal_cube_path
+from mediancert.cube_complex import crosses, hyperplanes, normal_cube_path, rank
 from mediancert.errors import (
+    BudgetExceeded,
     CornerFailure,
     MedianCertError,
     MedianViolation,
@@ -37,7 +45,7 @@ from mediancert.errors import (
     NotMedian,
 )
 from mediancert.harness_cli import generate
-from mediancert.median_core import MedianGraph
+from mediancert.median_core import MedianGraph, VertexSet, majority_closure
 from mediancert.propa_engine import Cat0WitnessProvider
 
 SETTINGS = settings(
@@ -360,6 +368,156 @@ def test_step_spanning_no_cube_raises():
     with pytest.raises(CornerFailure) as info:
         normal_cube_path(g, x, target)
     assert info.value.context["vertex"] == x
+
+
+# -- closures and rank ----------------------------------------------------
+
+
+def reference_closure(g, a, cap):
+    """The former median closure, on the median table."""
+    tab = g.median_table()
+    cur = np.array(sorted(a), dtype=np.int64)
+    while True:
+        vals = np.unique(tab[np.ix_(cur, cur, cur)].astype(np.int64))
+        merged = np.union1d(cur, vals)
+        if len(merged) > cap:
+            raise BudgetExceeded("median closure exceeded its cap", cap=cap)
+        if len(merged) == len(cur):
+            return set(cur.tolist())
+        cur = merged
+
+
+def reference_rank(g):
+    """Largest family of pairwise-crossing walls, by ``crosses``."""
+    hs = hyperplanes(g)
+    best = 0
+    for size in range(1, len(hs) + 1):
+        if not any(
+            all(crosses(p, q) for p, q in itertools.combinations(family, 2))
+            for family in itertools.combinations(hs, size)
+        ):
+            break
+        best = size
+    return best
+
+
+def reference_closure_rank(g, mem):
+    """Rank of the closure's own graph: an edge wherever its interval,
+    from the packed interval table, holds two closure points."""
+    if len(mem) < 2:
+        return 0
+    own = np.zeros((g.n + 7) // 8, dtype=np.uint8)
+    for v in mem:
+        own[v >> 3] |= 1 << (v & 7)
+    sub = g.packed_intervals()[np.ix_(mem, mem)] & own[None, None, :]
+    counts = np.unpackbits(sub, axis=2).sum(axis=2, dtype=np.int32)
+    iu, ju = np.nonzero(np.triu(counts == 2, 1))
+    return reference_rank(MedianGraph(len(mem), list(zip(iu.tolist(), ju.tolist()))))
+
+
+def reference_majority_closure(points, cap: int) -> list[int]:
+    """The generator's former closure of ints under bitwise majority."""
+    cur = set(int(p) for p in points)
+    while True:
+        fresh = set()
+        lst = sorted(cur)
+        for i, a in enumerate(lst):
+            for b in lst[i + 1:]:
+                both = a & b
+                either = a | b
+                for c in lst:
+                    m = both | (either & c)
+                    if m not in cur:
+                        fresh.add(m)
+        if not fresh:
+            return sorted(cur)
+        cur |= fresh
+        if len(cur) > cap:
+            raise BudgetExceeded(
+                "majority closure exceeded its cap", cap=cap, size=len(cur)
+            )
+
+
+def outcome(fn, *args):
+    """A function's value, or the rule of the error it raised."""
+    try:
+        return fn(*args)
+    except MedianCertError as exc:
+        return exc.rule
+
+
+@pytest.mark.parametrize("family", sorted(STEP_FAMILIES))
+@SETTINGS
+@given(data=st.data())
+def test_median_closure_matches_table(family, data):
+    g = data.draw(STEP_FAMILIES[family])
+    a = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=5))
+    cap = data.draw(st.sampled_from([3, 8, CLOSURE_CAP]))
+    want = outcome(reference_closure, g, a, cap)
+    fresh = MedianGraph(g.n, g.edges)
+    got = outcome(median_closure, fresh, VertexSet.of(g.n, a), cap)
+    if want == "unique-median" and got != want:
+        # the table fails on the whole graph, the closure only where a
+        # majority is no vertex's code (or at its cap before that): each
+        # triple of this one has a unique median, inside it
+        if got == "budget":
+            return
+        mem = sorted(got)
+        assert a <= set(mem)
+        d = g.dist
+        for x, y, z in itertools.combinations_with_replacement(mem, 3):
+            meet = (d[x] + d[y] == d[x, y]) & (d[y] + d[z] == d[y, z]) & (d[z] + d[x] == d[z, x])
+            assert np.flatnonzero(meet).tolist() in [[m] for m in mem]
+        return
+    assert (set(got) if isinstance(got, VertexSet) else got) == want
+    if want == "unique-median":
+        # the same first bad triple as the table names
+        with pytest.raises(MedianViolation) as table_error:
+            MedianGraph(g.n, g.edges).median_table()
+        with pytest.raises(MedianViolation) as closure_error:
+            median_closure(fresh, VertexSet.of(g.n, a), cap)
+        assert closure_error.value.report() == table_error.value.report()
+
+
+@pytest.mark.parametrize("family", sorted(STEP_FAMILIES))
+@SETTINGS
+@given(data=st.data())
+def test_rank_matches_pairwise_crossing(family, data):
+    g = data.draw(STEP_FAMILIES[family])
+    want = outcome(reference_rank, g)
+    assert outcome(rank, MedianGraph(g.n, g.edges)) == want
+    if isinstance(want, str) or isinstance(outcome(g.median_table), str):
+        return
+    a = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=5))
+    rep = verify_C2_exact(g, a)
+    mem = sorted(reference_closure(g, a, CLOSURE_CAP))
+    assert sorted(rep.closure) == mem
+    assert (rep.h_p, rep.graph_rank) == (0, want)
+    assert rep.closure_rank == reference_closure_rank(g, mem) <= want
+
+
+@st.composite
+def nearby_points(draw):
+    """(d, points of the d-cube a few bit flips apart), so closures stay
+    small at any width."""
+    d = draw(st.integers(1, 70))
+    base = draw(st.integers(0, (1 << d) - 1))
+    flips = st.frozensets(st.integers(0, d - 1), max_size=3).map(lambda bits: sum(1 << b for b in bits))
+    return d, [base ^ f for f in draw(st.lists(flips, min_size=1, max_size=5))]
+
+
+@SETTINGS
+@given(case=nearby_points(), cap=st.sampled_from([4, 16, 4096]))
+@example(case=(64, [(1 << 64) - 1, 1 << 63, 5]), cap=4096)
+@example(case=(70, [1 << 69, (1 << 64) - 1, 1 << 64 | 3, 6]), cap=4)
+def test_majority_closure_matches_int_closure(case, cap):
+    d, points = case
+    want = outcome(reference_majority_closure, points, cap)
+    words = [[p >> 64 * j & (1 << 64) - 1 for p in points] for j in range(-(-d // 64))]
+    got = outcome(majority_closure, np.array(words, dtype=np.uint64), cap)
+    if not isinstance(got, str):
+        got = sorted(sum(int(w) << 64 * j for j, w in enumerate(col)) for col in got.T)
+    assert got == want
 
 
 # -- exhaustive coarse fit ------------------------------------------------
