@@ -594,6 +594,11 @@ class CoarseWitnessProvider:
     def distance(self, x: int, y: int):
         return self.inst.rho(x, y)
 
+    @property
+    def distance_table(self) -> np.ndarray | None:
+        """The distances ``distance`` reads, when they are all integers."""
+        return self.inst.dist_int
+
     def scale(self, l: int) -> int:
         p = self.params
         needed = _ceil_frac((3 * p.K * l + p.H0) / self.t)

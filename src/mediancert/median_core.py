@@ -5,9 +5,12 @@ Vertices are integers 0..n-1.  A graph is *median* when every triple
 between each pair; all operations here assume that property and raise
 MedianViolation where a computation witnesses its failure.
 
-Distances come from an all-pairs BFS table computed once at
-construction.  Vertex sets are fixed-width bitsets so interval and hull
-computations reduce to word-parallel integer arithmetic.
+Distances come from an all-pairs table computed once at construction:
+breadth-first search, or, for a partial cube of more than 64 vertices
+and at most 64 walls, the Hamming distances of its one-word sign codes
+(below), checked to be the graph metric.  Vertex sets are fixed-width
+bitsets so interval and hull computations reduce to word-parallel
+integer arithmetic.
 
 Walls and medians come from sign codes.  Each edge (a, b) splits the
 vertices into those closer to a and those closer to b; the distinct
@@ -27,13 +30,18 @@ import itertools
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import BudgetExceeded, MedianViolation, NotFound, ReductionFailure
 
 # Dense per-pair tables (medians, packed intervals) are only built for
 # graphs up to this size; everything else computes rows on demand.
 TABLE_LIMIT = 256
+
+# Every graph keeps an n x n int32 distance table, which breadth-first
+# search builds through an n x n float64 one: 512 MiB at this many
+# vertices.  Larger graphs are refused before any n x n allocation.
+VERTEX_LIMIT = 8192
 
 # Working-set cap of one step of the code scans, in uint64 words.
 _BLOCK_WORDS = 1 << 20
@@ -177,6 +185,61 @@ def _wall_codes(dist: np.ndarray, edges) -> WallCodes | None:
     return WallCodes(planes, edge_wall, count)
 
 
+def _one_word_codes(graph, edges) -> tuple[WallCodes, np.ndarray] | None:
+    """Wall codes and distance table of a connected partial cube with at
+    most 64 walls, from breadth-first rows of the first edge of each
+    wall; None when a check fails or the graph has more walls.
+
+    Edges are taken in order; one that no wall found so far cuts starts
+    a wall, whose plus side is read off the rows of its ends.  The
+    Hamming distance of the codes is the graph distance exactly when
+    every edge flips one bit and every vertex v has, for each u != v, an
+    edge flipping a bit in which the codes of u and v differ: the first
+    makes the code distance move by 1 along each edge, so it is at most
+    the graph distance, and the second gives a walk from v to u that
+    long.  The codes are then the ones _wall_codes reads off the full
+    table, and one word per pair costs less than a breadth-first row.
+    More walls show early: the edge at each leaf is a wall of its own,
+    and no vertex of a partial cube is farther from another than the
+    number of walls."""
+    n = graph.shape[0]
+    if (np.diff(graph.indptr) == 1).sum() > 64:
+        return None
+    ea = np.fromiter((e[0] for e in edges), dtype=np.intp, count=len(edges))
+    eb = np.fromiter((e[1] for e in edges), dtype=np.intp, count=len(edges))
+    plus_sides = []
+    uncut = np.arange(len(edges))
+    while len(uncut):
+        if len(plus_sides) == 64:
+            return None
+        a, b = dijkstra(graph, unweighted=True, indices=[ea[uncut[0]], eb[uncut[0]]])
+        if a.max() > 64:
+            return None
+        plus = a >= b
+        plus_sides.append(plus)
+        uncut = uncut[plus[ea[uncut]] == plus[eb[uncut]]]
+    raw = np.zeros((n, 8), dtype=np.uint8)
+    raw[:, :(len(plus_sides) + 7) // 8] = np.packbits(np.array(plus_sides).T, axis=1, bitorder="little")
+    code = raw.view("<u8")[:, 0].astype(np.uint64)
+    flips = code[ea] ^ code[eb]
+    if (np.bitwise_count(flips) != 1).any():
+        return None
+    toward = np.zeros(n, dtype=np.uint64)
+    np.bitwise_or.at(toward, ea, flips)
+    np.bitwise_or.at(toward, eb, flips)
+    dist = np.empty((n, n), dtype=np.int32)
+    step = max(1, _BLOCK_WORDS // n)
+    for lo in range(0, n, step):
+        apart = code[lo:lo + step, None] ^ code
+        stuck = (apart & toward) == 0
+        stuck[np.arange(len(apart)), np.arange(lo, lo + len(apart))] = False
+        if stuck.any():
+            return None
+        dist[lo:lo + step] = np.bitwise_count(apart)
+    edge_wall = np.bitwise_count(flips - np.uint64(1)).astype(np.intp)
+    return WallCodes(code[None, :], edge_wall, len(plus_sides)), dist
+
+
 def _distinct(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(distinct columns of word planes, in code order; the index of the
     first occurrence of each)."""
@@ -283,6 +346,10 @@ class MedianGraph:
         if vertex_count <= 0:
             raise ValueError("vertex_count must be positive")
         self.n = int(vertex_count)
+        if self.n > VERTEX_LIMIT:
+            raise BudgetExceeded(
+                f"distance table disabled above {VERTEX_LIMIT} vertices", n=self.n
+            )
         seen = set()
         for u, v in edges:
             u, v = int(u), int(v)
@@ -301,15 +368,16 @@ class MedianGraph:
             self.adj[v].append(u)
         for nbrs in self.adj:
             nbrs.sort()
+        self._codes: WallCodes | bool | None = None  # False: not a partial cube
         self.dist = self._all_pairs()
         self._interval_cache: dict[tuple[int, int], int] = {}
         self._median_table: np.ndarray | None = None
         self._packed_intervals: np.ndarray | None = None
-        self._codes: WallCodes | bool | None = None  # False: not a partial cube
         self._hyperplanes = None  # filled by cube_complex
         self._rank: int | None = None
 
     def _all_pairs(self) -> np.ndarray:
+        """The distance table; the wall codes too when they come with it."""
         if not self.edges:
             return np.zeros((1, 1), dtype=np.int32)
         if self.n <= 64:
@@ -334,11 +402,16 @@ class MedianGraph:
             return dist
         rows = [u for u, v in self.edges] + [v for u, v in self.edges]
         cols = [v for u, v in self.edges] + [u for u, v in self.edges]
-        g = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(self.n, self.n))
+        # float64 weights, the type scipy's searches take without a copy
+        g = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(self.n, self.n))
         ncomp, _ = connected_components(g, directed=False)
         if ncomp != 1:
             raise ValueError("graph is not connected")
-        d = shortest_path(g, method="D", unweighted=True, directed=False)
+        found = _one_word_codes(g, self.edges)
+        if found is not None:
+            self._codes, dist = found
+            return dist
+        d = dijkstra(g, unweighted=True)
         return d.astype(np.int32)
 
     def distance(self, x: int, y: int) -> int:

@@ -9,10 +9,45 @@ between nearby centers is controlled by set-size ratios alone:
       <= 2*(1 - (1/n) * sum_k |S(x,k-m)| / |S(x,k+m)|)
       <= 2*(1 - p**(-2m/n))
 
-with p the largest set size seen.  Every inequality is decided in exact
-rational arithmetic; the fractional power in the last bound is only
-evaluated in floating point for display, with the comparison done on
-integer powers after clearing denominators.
+with p the largest set size seen.  Every inequality is decided exactly;
+the fractional power in the last bound is only evaluated in floating
+point for display, with the comparison done on integer powers after
+clearing denominators.
+
+Row arrays.  A level reads the sets of a center sample once into a
+``uint64`` array rows[i, k, :] (centers x (3n+1) x words) with a label
+array ``points``: bit u of row (i, k) stands for points[u] in
+S(sample[i], k, n); row 0 is empty.  ``Cat0WitnessProvider.witness_rows``
+fills it in array ops, with one column per distinct endpoint of the 3n
+cube steps (the only vertices a set can hold: 36 of 900 at n = 8 on the
+30x30 grid); any other provider has each set read through ``sets``, x by
+x and k by k, and packed once, column u standing for point u.  Set
+sizes, intersections and the nesting tests are bit counts and ANDs over
+these words, whatever the labels.
+
+Pair arrays.  The center pairs of a level are sample positions (i, j, d)
+with i < j and integer distance d in 1..n, in the order of a loop over
+i, then j.  A provider with an integer ``distance_table`` (the graph's
+distance table, or an integral coarse metric) yields them, and the support
+radius, from blocks of that table; other providers are asked through
+``distance`` pair by pair.  Pair work runs in blocks whose temporaries
+hold about ``_BLOCK`` elements.
+
+Exactness.  Per pair, every ratio of the chain is put over n*D, with D
+the lcm of the sizes it divides by (x's at radii n+1-m..2n+m, y's at
+n+1..2n).  xi of each center is held once per level as integer weights
+lcm/|S_k| per point over n*lcm, and a pair's variation is 2(nD - their
+overlap), the overlap summed over x's support.  Where n*D <= 2^61,
+checked per pair in int64 by floor division, every numerator
+(variation, mean norm, ratio sum, bound) is at most 2nD <= 2^62, and the
+per-radius test gap*b <= (b-a)*width multiplies two sizes of at most the
+row width, 64*words < 2^31 bits (a graph has at most
+median_core.VERTEX_LIMIT = 8192 vertices, so V^2 < 2^62): int64 is
+exact.  Other pairs run the same code on Python ints (object arrays).
+The mean-vs-product, telescoping and size-bound checks read x's sizes
+alone; each distinct size profile is decided once in Python ints.
+Fractions are built only for the row sups, and floats only pick the
+candidates for a sup, which is then taken exactly.
 """
 
 from __future__ import annotations
@@ -27,6 +62,12 @@ import numpy as np
 from .cube_complex import _no_cube, step_map
 from .errors import ConditionViolation, EmptySet
 from .median_core import MedianGraph, VertexSet, _mask_members, _mask_of, _pack_mask
+
+# Elements in one temporary of the blocked row and pair work.
+_BLOCK = 1 << 18
+
+# n * D at or below this keeps every chain numerator within int64.
+_INT64_LIMIT = 1 << 61
 
 
 class SparseL1Vector:
@@ -115,6 +156,7 @@ class Cat0WitnessProvider:
     def __init__(self, graph: MedianGraph, basepoint: int):
         self.graph = graph
         self.basepoint = int(basepoint)
+        self._step: np.ndarray | None = None
         self._endpoints: dict[int, np.ndarray] = {}
         self._sets: dict[tuple[int, int, int], VertexSet] = {}
 
@@ -125,19 +167,25 @@ class Cat0WitnessProvider:
     def distance(self, x: int, y: int) -> int:
         return self.graph.distance(x, y)
 
+    @property
+    def distance_table(self) -> np.ndarray:
+        return self.graph.dist
+
     def _endpoint_row(self, l: int) -> np.ndarray:
         """Vertex reached after 3l cube steps from each vertex, by 3l
         gathers through the step map.  Every vertex starts a path, so a
         step anywhere that spans no cube raises CornerFailure."""
         row = self._endpoints.get(l)
         if row is None:
-            nxt = step_map(self.graph, self.basepoint)
-            bad = np.flatnonzero(nxt < 0)
-            if len(bad):
-                raise _no_cube(int(bad[0]), self.basepoint)
+            if self._step is None:
+                nxt = step_map(self.graph, self.basepoint)
+                bad = np.flatnonzero(nxt < 0)
+                if len(bad):
+                    raise _no_cube(int(bad[0]), self.basepoint)
+                self._step = nxt
             row = np.arange(self.graph.n)
             for _ in range(3 * l):
-                row = nxt[row]
+                row = self._step[row]
             self._endpoints[l] = row
         return row
 
@@ -155,6 +203,32 @@ class Cat0WitnessProvider:
             self._sets[key] = s
         return s
 
+    def witness_rows(self, centers: list[int], l: int) -> tuple[np.ndarray, np.ndarray]:
+        """The sets of ``sets`` for every center and k = 1..3l as a row
+        array over the distinct endpoints, and those endpoints (see the
+        module docstring): z is in S(x, k, l) when the vertex of z's
+        preimage under the endpoint row nearest to x lies within k of x.
+        No set is empty: x's own endpoint is in each."""
+        g = self.graph
+        for x in centers:
+            if not 0 <= x < g.n:
+                raise ValueError(f"center {x} out of range 0..{g.n - 1}")
+        end = self._endpoint_row(l)
+        order = np.argsort(end, kind="stable")
+        ends = end[order]
+        starts = np.flatnonzero(np.r_[True, ends[1:] != ends[:-1]])
+        words = -(-len(starts) // 64)
+        rows = np.zeros((len(centers), 3 * l + 1, words), dtype=np.uint64)
+        step = max(1, _BLOCK // g.n)
+        for lo in range(0, len(centers), step):
+            block = centers[lo:lo + step]
+            near = np.minimum.reduceat(g.dist[block][:, order], starts, axis=1)
+            hit = np.zeros((len(block), 64 * words), dtype=bool)
+            for k in range(1, 3 * l + 1):
+                hit[:, :len(starts)] = near <= k
+                rows[lo:lo + step, k] = np.packbits(hit, axis=1, bitorder="little").view("<u8")
+        return rows, ends[starts]
+
 
 def _mask(s) -> int:
     """A witness set as an int bitmask: a VertexSet's own mask, or a
@@ -162,25 +236,43 @@ def _mask(s) -> int:
     return s.mask if isinstance(s, VertexSet) else _mask_of(s)
 
 
-def _witness_row(provider, x: int, n: int) -> list[int]:
-    """Masks of S(x, k, n) for k = 1..3n at row[k] (row[0] is unused);
-    each set is read once, in order of k, and an empty one raises."""
-    row = [0]
-    for k in range(1, 3 * n + 1):
-        mask = _mask(provider.sets(x, k, n))
-        if not mask:
-            raise ConditionViolation(f"S({x},{k},{n}) is empty", x=x, k=k, n=n)
-        row.append(mask)
-    return row
+def _bits(words: np.ndarray) -> np.ndarray:
+    """The bits of rows of words as 0/1 columns, 64 per word."""
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=-1, bitorder="little")
 
 
-def xi(provider, x: int, n: int, row: list[int] | None = None) -> SparseL1Vector:
+def _row_array(provider, centers: list[int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The level-n row array of the centers and its labels (see the
+    module docstring).  Sets are read x by x and k by k; an empty one
+    raises where it is read."""
+    own = getattr(provider, "witness_rows", None)
+    if own is not None:
+        return own(centers, n)
+    masks = []
+    for x in centers:
+        for k in range(1, 3 * n + 1):
+            mask = _mask(provider.sets(x, k, n))
+            if not mask:
+                raise ConditionViolation(f"S({x},{k},{n}) is empty", x=x, k=k, n=n)
+            masks.append(mask)
+    words = -(-max([provider.point_count, 1] + [m.bit_length() for m in masks]) // 64)
+    rows = np.zeros((len(centers), 3 * n + 1, words), dtype=np.uint64)
+    packed = b"".join(m.to_bytes(8 * words, "little") for m in masks)
+    rows[:, 1:] = np.frombuffer(packed, dtype="<u8").reshape(len(centers), 3 * n, words)
+    return rows, np.arange(64 * words)
+
+
+def _sizes(rows: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(rows).sum(axis=2, dtype=np.int64)
+
+
+def xi(provider, x: int, n: int) -> SparseL1Vector:
     """Average of the normalized indicators of S(x, k, n) over
-    k = n+1 .. 2n, as integer weights lcm/|S_k| over n * lcm(|S_k|).
-    ``row`` is x's witness row when the caller has read it already."""
+    k = n+1 .. 2n, as integer weights lcm/|S_k| over n * lcm(|S_k|)."""
     masks = []
     for k in range(n + 1, 2 * n + 1):
-        mask = row[k] if row is not None else _mask(provider.sets(x, k, n))
+        mask = _mask(provider.sets(x, k, n))
         if not mask:
             raise EmptySet(f"S({x},{k},{n}) is empty")
         masks.append(mask)
@@ -207,10 +299,99 @@ class ConditionReport:
     p_by_k: dict[int, int]
     pairs_checked: int
     saturated_sets: int
-    # the checked pairs (x, y, d) and each center's witness row, which
+    # the level's row array and its checked pairs as sample positions
+    # and distance, (i, j, d) in the rows of a 3 x pairs array, which
     # certify reuses rather than reading the sets again
-    pairs: list[tuple[int, int, int]] = field(default_factory=list, repr=False, compare=False)
-    rows: dict[int, list[int]] = field(default_factory=dict, repr=False, compare=False)
+    rows: np.ndarray | None = field(default=None, repr=False, compare=False)
+    pairs: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+
+def _support_radius(provider, sample: list[int], rows: np.ndarray, points: np.ndarray) -> int:
+    """The farthest member of any set of a center, from that center."""
+    reach = np.bitwise_or.reduce(rows, axis=1)
+    table = getattr(provider, "distance_table", None)
+    if table is None:
+        return max(
+            (
+                math.ceil(provider.distance(x, int(points[u])))
+                for x, words in zip(sample, reach)
+                for u in _mask_members(int.from_bytes(words.astype("<u8").tobytes(), "little"))
+            ),
+            default=0,
+        )
+    radius = 0
+    points = points[:min(len(points), table.shape[1])]
+    step = max(1, _BLOCK // max(len(points), 1))
+    for lo in range(0, len(sample), step):
+        hit = _bits(reach[lo:lo + step])[:, :len(points)]
+        far = table[sample[lo:lo + step]][:, points]
+        radius = max(radius, int(np.where(hit, far, 0).max(initial=0)))
+    return radius
+
+
+def _center_pairs(provider, sample: list[int], n: int) -> np.ndarray:
+    """The pair array (i, j, d) of the level (see the module docstring)."""
+    table = getattr(provider, "distance_table", None)
+    if table is None:
+        found = []
+        for i, x in enumerate(sample):
+            for j in range(i + 1, len(sample)):
+                d = provider.distance(x, sample[j])
+                if 1 <= d <= n and d == int(d):
+                    found.append((i, j, int(d)))
+        return np.array(found, dtype=np.int64).reshape(-1, 3).T
+    cols = np.array(sample, dtype=np.intp)
+    step = max(1, _BLOCK // max(len(cols), 1))
+    parts = [np.zeros((3, 0), dtype=np.int64)]
+    for lo in range(0, len(cols), step):
+        d = table[cols[lo:lo + step]][:, cols]
+        # 1 <= d <= n, on j > i only
+        near = (d - 1).view(f"u{d.itemsize}") < n
+        near &= np.arange(len(cols)) > np.arange(lo, lo + len(d))[:, None]
+        i, j = np.nonzero(near)
+        parts.append(np.stack([i + lo, j, d[i, j]]))
+    return np.concatenate(parts, axis=1)
+
+
+def _nesting_sweep(rows: np.ndarray, sample: list[int], pairs: np.ndarray, n: int) -> None:
+    """Condition (ii) over blocks of pairs.  Pairs at one distance d read
+    the same radii, so a block reads the whole rows of its pairs once and
+    slices them per distance: a pair fails where a member of S(x, k-d) or
+    S(y, k-d) escapes S_x,k & S_y,k, or S_x,k | S_y,k escapes S(x, k+d) or
+    S(y, k+d).  The first failing pair is then walked through k, center
+    (x before y) and test (inner before union) to name its failure."""
+    step = max(1, _BLOCK // rows[0].size)
+    for lo in range(0, pairs.shape[1], step):
+        i, j, d = pairs[:, lo:lo + step]
+        bad = np.zeros(len(i), dtype=bool)
+        for dist in np.unique(d):
+            at = np.flatnonzero(d == dist)
+            # radii n+1-d..2n+d: inner, middle and outer ranges of n
+            span = slice(n + 1 - dist, 2 * n + 1 + dist)
+            x, y = rows[i[at], span], rows[j[at], span]
+            inner, mid, outer = (slice(s, s + n) for s in (0, dist, 2 * dist))
+            both, union = x[:, mid] & y[:, mid], x[:, mid] | y[:, mid]
+            bad[at] = (
+                ((x[:, inner] | y[:, inner]) & ~both) | (union & ~(x[:, outer] & y[:, outer]))
+            ).any(axis=(1, 2))
+        if not bad.any():
+            continue
+        p = int(np.argmax(bad))
+        dist = int(d[p])
+        for k in range(n + 1, 2 * n + 1):
+            rx, ry = rows[i[p], k], rows[j[p], k]
+            both, union = rx & ry, rx | ry
+            for c, far in ((i[p], j[p]), (j[p], i[p])):
+                if (rows[c, k - dist] & ~both).any():
+                    raise ConditionViolation(
+                        "inner witness set escapes the intersection",
+                        x=sample[c], y=sample[far], k=k, n=n, d=dist,
+                    )
+                if (union & ~rows[c, k + dist]).any():
+                    raise ConditionViolation(
+                        "witness union escapes the outer set",
+                        x=sample[c], y=sample[far], k=k, n=n, d=dist,
+                    )
 
 
 def verify_conditions(provider, n: int, sample, max_pairs: int | None = None) -> ConditionReport:
@@ -221,62 +402,30 @@ def verify_conditions(provider, n: int, sample, max_pairs: int | None = None) ->
     S(x,k,n) | S(y,k,n) inside S(x, k+d, n), and (iii) set sizes are
     bounded; the maxima are reported, violations raise."""
     sample = [int(x) for x in sample]
-    radius = 0
-    p_n = 0
-    p_by_k: dict[int, int] = {}
+    rows, points = _row_array(provider, sample, n)
+    sizes = _sizes(rows)
+    p_by_k = {k: int(sizes[:, k].max()) for k in range(1, 3 * n + 1)} if sample else {}
     saturated = 0
-    lone_base = 1 << provider.basepoint
-    rows: dict[int, list[int]] = {}
-    for x in sample:
-        row = rows[x] = _witness_row(provider, x, n)
-        reach = 0  # union of the sets at x: the radius is its farthest member
-        for k in range(1, 3 * n + 1):
-            mask = row[k]
-            size = mask.bit_count()
-            reach |= mask
-            p_n = max(p_n, size)
-            p_by_k[k] = max(p_by_k.get(k, 0), size)
-            saturated += mask == lone_base
-        if reach:
-            far = max(math.ceil(provider.distance(x, z)) for z in _mask_members(reach))
-            radius = max(radius, far)
-    # enumerated once per level: certify filters this list by d
-    distance = provider.distance
-    pairs = []
-    for i, x in enumerate(sample):
-        for y in sample[i + 1:]:
-            d = distance(x, y)
-            if 1 <= d <= n and d == int(d):
-                pairs.append((x, y, int(d)))
-    if max_pairs is not None and len(pairs) > max_pairs:
-        step = len(pairs) / max_pairs
-        pairs = [pairs[int(i * step)] for i in range(max_pairs)]
-    for x, y, d in pairs:
-        rx, ry = rows[x], rows[y]
-        for k in range(n + 1, 2 * n + 1):
-            both = rx[k] & ry[k]
-            union = rx[k] | ry[k]
-            for c, far, rc in ((x, y, rx), (y, x, ry)):
-                if rc[k - d] & ~both:
-                    raise ConditionViolation(
-                        "inner witness set escapes the intersection",
-                        x=c, y=far, k=k, n=n, d=d,
-                    )
-                if union & ~rc[k + d]:
-                    raise ConditionViolation(
-                        "witness union escapes the outer set",
-                        x=c, y=far, k=k, n=n, d=d,
-                    )
+    for u in np.flatnonzero(points == provider.basepoint):
+        lone = np.zeros(rows.shape[2], dtype=np.uint64)
+        lone[u // 64] = 1 << int(u) % 64
+        saturated = int((rows[:, 1:] == lone).all(axis=2).sum())
+    radius = _support_radius(provider, sample, rows, points)
+    pairs = _center_pairs(provider, sample, n)
+    if max_pairs is not None and pairs.shape[1] > max_pairs:
+        step = pairs.shape[1] / max_pairs
+        pairs = pairs[:, [int(i * step) for i in range(max_pairs)]]
+    _nesting_sweep(rows, sample, pairs, n)
     return ConditionReport(
         n=n,
         sample_size=len(sample),
         support_radius=radius,
-        p_n=p_n,
+        p_n=max(p_by_k.values(), default=0),
         p_by_k=p_by_k,
-        pairs_checked=len(pairs),
+        pairs_checked=pairs.shape[1],
         saturated_sets=saturated,
-        pairs=pairs,
         rows=rows,
+        pairs=pairs,
     )
 
 
@@ -287,6 +436,8 @@ class CertificateRow:
     amgm_bound: Fraction
     p_bound_float: float
     pair_count: int
+    # pairs whose chain ran on Python ints: past the int64 bound
+    bigint_pairs: int = field(default=0, compare=False)
 
 
 @dataclass
@@ -342,70 +493,195 @@ CSV_HEADER = [
 ]
 
 
-def _check_pair_chain(provider, x, y, m, n, p_n, xis, rows=None) -> tuple[Fraction, Fraction]:
-    """Exact inequality chain for one center pair; returns the measured
-    variation and the rational ratio bound.  Per radius k, with
-    I = |S_x & S_y|, M = max(|S_x|, |S_y|) and inner/outer sizes a/b,
-    the norm is 2(M-I)/M and the ratio a/b; every comparison is made on
-    integers after clearing denominators.  ``rows`` maps centers to
-    their witness rows; without it the rows of x and y are read here."""
+_CHAIN_TESTS = (
+    "nesting failed inside the certificate chain",
+    "per-radius norm exceeds its ratio bound",
+)
+_CHAIN_TAIL = (
+    "variation chain is out of order",
+    "mean-vs-product inequality failed",
+    "ratio product failed to telescope",
+    "ratio product undershoots the size bound",
+)
+
+
+def _profile_checks(sizes: np.ndarray, m: int, n: int, p_n: int) -> np.ndarray:
+    """Per center, the mean-vs-product, telescoping and size-bound
+    failures of its chains at distance m (centers x 3): they read only
+    the center's sizes at radii n+1-m..2n+m, with inner sizes a_k at
+    k-m and outer sizes b_k at k+m, so each distinct profile is decided
+    once, in Python ints."""
+    profiles, inverse = np.unique(sizes[:, n + 1 - m:2 * n + m + 1], axis=0, return_inverse=True)
+    out = []
+    for prof in profiles.tolist():
+        inners, outers = prof[:n], prof[2 * m:]
+        ratio_den = math.lcm(*outers)
+        ratio_sum = sum([a * (ratio_den // b) for a, b in zip(inners, outers)])
+        prod_a, prod_b = math.prod(inners), math.prod(outers)
+        out.append((
+            # the mean of the ratios is ratio_sum / (n * ratio_den); its
+            # n-th power against their product, denominators cleared
+            ratio_sum**n * prod_b < prod_a * (n * ratio_den) ** n,
+            # the ratio product is head / tail
+            2 * m <= n and prod_a * math.prod(prof[n:n + 2 * m]) != math.prod(prof[:2 * m]) * prod_b,
+            prod_a * p_n ** (2 * m) < prod_b,
+        ))
+    return np.array(out, dtype=bool).reshape(-1, 3)[inverse.reshape(-1)]
+
+
+def _lcm(cols: list[np.ndarray], limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise lcm of integer columns, and where it stays <= limit;
+    past the limit a row's lcm stops growing, so int64 never wraps."""
+    out = np.ones(len(cols[0]), dtype=cols[0].dtype)
+    ok = np.ones(len(out), dtype=bool)
+    for s in cols:
+        q = s // np.gcd(out, s)
+        if limit is not None:
+            ok &= out <= limit // q
+            q = np.where(ok, q, 1)
+        out = out * q
+    return out, ok
+
+
+def _pair_den(sizes, i, j, m, n, limit=None):
+    """Per pair, the lcm D of x's sizes at radii n+1-m..2n+m and y's at
+    n+1..2n, which every ratio of its chain divides."""
+    cols = [sizes[i, k] for k in range(n + 1 - m, 2 * n + m + 1)]
+    return _lcm(cols + [sizes[j, k] for k in range(n + 1, 2 * n + 1)], limit)
+
+
+def _xi_weights(rows: np.ndarray, sizes: np.ndarray, n: int) -> tuple:
+    """xi of each center as integers over n * lcm: its lcm(|S_k|), the
+    weights summed per column on the union of the supports (a zero
+    column last), its support as a padded list of columns, and its
+    weights there.  In int64 a center whose n * lcm passes the bound
+    gets a short lcm; only pairs that run on Python ints read it."""
+    cols = [sizes[:, k] for k in range(n + 1, 2 * n + 1)]
+    lcm = _lcm(cols, _INT64_LIMIT // n if sizes.dtype == np.int64 else None)[0]
+    union = np.flatnonzero(_bits(np.bitwise_or.reduce(rows[:, n + 1:2 * n + 1], axis=(0, 1))))
+    total = 0
+    for k, size in zip(range(n + 1, 2 * n + 1), cols):
+        total = total + (lcm // size)[:, None] * _bits(rows[:, k])[:, union]
+    nums = np.zeros((len(rows), len(union) + 1), dtype=sizes.dtype)
+    nums[:, :-1] = total
+    held = nums != 0
+    counts = held.sum(axis=1)
+    c, z = np.nonzero(held)
+    support = np.full((len(rows), counts.max(initial=0)), len(union))
+    support[c, np.arange(len(c)) - np.repeat(np.cumsum(counts) - counts, counts)] = z
+    return lcm, nums, support, np.take_along_axis(nums, support, axis=1)
+
+
+def _chain_terms(rows, sizes, weights, i, j, den, m, n):
+    """The chain of pairs (i[p], j[p]) over their centers' rows, sizes and
+    xi weights, in the dtype of ``sizes``: int64 within the bound of the
+    module docstring, or object for Python ints.  Returns the failures of
+    the per-radius tests (nesting and ratio at each k) and of the order
+    test, and the variation and bound numerators over n * den."""
+    lcm, nums, support, own = weights
+    fail = np.zeros((len(i), 2 * n + 1), dtype=bool)
+    var = np.zeros(len(i), dtype=sizes.dtype)
+    bound = np.zeros(len(i), dtype=sizes.dtype)
+    step = max(1, _BLOCK // max(rows[0].size, support.shape[1]))
+    for lo in range(0, len(i), step):
+        x, y, d = i[lo:lo + step], j[lo:lo + step], den[lo:lo + step]
+        # radii n+1-m..2n+m: inner k-m, k and outer k+m for k = n+1..2n
+        span = slice(n + 1 - m, 2 * n + 1 + m)
+        rx, ry, sx, sy = rows[x, span], rows[y, span], sizes[x, span], sizes[y, span]
+        inner, mid, outer = (slice(s, s + n) for s in (0, m, 2 * m))
+        both = rx[:, mid] & ry[:, mid]
+        fail[lo:lo + step, 0:2 * n:2] = (
+            (rx[:, inner] & ~both) | ((rx[:, mid] | ry[:, mid]) & ~rx[:, outer])
+        ).any(axis=2)
+        width = np.maximum(sx[:, mid], sy[:, mid])
+        a, b = sx[:, inner], sx[:, outer]
+        gap = width - np.bitwise_count(both).sum(axis=2, dtype=np.int64)
+        # norm > 2 * (1 - ratio)
+        fail[lo:lo + step, 1:2 * n:2] = gap * b > (b - a) * width
+        norm = (2 * gap * (d[:, None] // width)).sum(axis=1)
+        ratio = (a * (d[:, None] // b)).sum(axis=1)
+        # sum over z of |fx * xi_x(z) - fy * xi_y(z)| over n * d: both
+        # vectors sum to n * d, so it is 2 * (n * d - their overlap),
+        # the sum of the smaller weight over x's support
+        fx, fy = (d // lcm[x])[:, None], (d // lcm[y])[:, None]
+        on_x = fy * np.take(nums, y[:, None] * nums.shape[1] + support[x])
+        v = 2 * (n * d - np.minimum(fx * own[x], on_x).sum(axis=1))
+        var[lo:lo + step] = v
+        bound[lo:lo + step] = 2 * (n * d - ratio)
+        fail[lo:lo + step, 2 * n] = (v > norm) | (norm > bound[lo:lo + step])
+    return fail, var, bound
+
+
+def _sup(nums: np.ndarray, dens: np.ndarray) -> Fraction:
+    """The exact max of nums / dens (nonnegative).  Each float quotient
+    is within 2^-51 of its value, so the max is among those within 2^-40
+    of the largest; only these are compared, in integers."""
+    f = (nums / dens).astype(float)
+    if not len(f) or f.max() == 0:
+        return Fraction(0)
+    best = None
+    for p in np.flatnonzero(f >= f.max() * (1 - 2.0**-40)):
+        a, b = int(nums[p]), int(dens[p])
+        if best is None or a * best[1] > best[0] * b:
+            best = (a, b)
+    return Fraction(*best)
+
+
+def _chain(rows, sizes, weights, sample, i, j, m, n, p_n) -> tuple[Fraction, Fraction, int]:
+    """Exact inequality chain for the pairs (sample[i[p]], sample[j[p]])
+    at distance m, over the level's rows, their int64 sizes and the int64
+    xi weights of _xi_weights; returns the sup of the measured variation
+    and of the rational ratio bound, and how many pairs ran on Python
+    ints.  Per radius k, with I = |S_x & S_y|, M = max(|S_x|, |S_y|) and
+    inner/outer sizes a/b, the norm is 2(M-I)/M and the ratio a/b.
+    Raises at the first failing pair, at its first failing test in the
+    order: nesting then ratio at each k, order, mean-vs-product,
+    telescoping, size bound."""
+    if not len(i):
+        return Fraction(0), Fraction(0), 0
+    fail = np.zeros((len(i), 2 * n + 4), dtype=bool)
+    fail[:, 2 * n + 1:] = _profile_checks(sizes, m, n, p_n)[i]
+    den, fast = _pair_den(sizes, i, j, m, n, _INT64_LIMIT // n)
+    fast &= 64 * rows.shape[2] < 1 << 31
+    sups = []
+    if fast.any():
+        idx = np.flatnonzero(fast)
+        part = _chain_terms(rows, sizes, weights, i[idx], j[idx], den[idx], m, n)
+        sups.append((idx, *part, n * den[idx]))
+    if not fast.all():
+        idx = np.flatnonzero(~fast)
+        centers, inverse = np.unique(np.concatenate([i[idx], j[idx]]), return_inverse=True)
+        x, y = inverse[:len(idx)], inverse[len(idx):]
+        big, wide = sizes[centers].astype(object), rows[centers]
+        part_den = _pair_den(big, x, y, m, n)[0]
+        part = _chain_terms(wide, big, _xi_weights(wide, big, n), x, y, part_den, m, n)
+        sups.append((idx, *part, n * part_den))
+    for idx, part_fail, _, _, _ in sups:
+        fail[idx, :2 * n + 1] = part_fail
+    bad = fail.any(axis=1)
+    if bad.any():
+        p = int(np.argmax(bad))
+        test = int(np.argmax(fail[p]))
+        x, y = sample[i[p]], sample[j[p]]
+        if test < 2 * n:
+            raise ConditionViolation(_CHAIN_TESTS[test % 2], x=x, y=y, k=n + 1 + test // 2, n=n, m=m)
+        raise ConditionViolation(_CHAIN_TAIL[test - 2 * n], x=x, y=y, n=n, m=m)
+    return (
+        max(_sup(var, d) for _, _, var, _, d in sups),
+        max(_sup(bound, d) for _, _, _, bound, d in sups),
+        int(len(i) - fast.sum()),
+    )
+
+
+def _check_pair_chain(provider, x, y, m, n, p_n) -> tuple[Fraction, Fraction]:
+    """The chain for one center pair, read from the provider: its
+    measured variation and its rational ratio bound."""
     if not 0 <= m <= n:
         raise ValueError(f"pair distance {m} outside 0..{n}")
-    if rows is None:
-        rows = {x: _witness_row(provider, x, n), y: _witness_row(provider, y, n)}
-    rx, ry = rows[x], rows[y]
-    var = xis[x].l1_distance(xis[y])
-    gaps, widths, inners, outers = [], [], [], []
-    for k in range(n + 1, 2 * n + 1):
-        sx, sy = rx[k], ry[k]
-        inner, outer = rx[k - m], rx[k + m]
-        both = sx & sy
-        if inner & ~both or (sx | sy) & ~outer:
-            raise ConditionViolation(
-                "nesting failed inside the certificate chain",
-                x=x, y=y, k=k, n=n, m=m,
-            )
-        width = max(sx.bit_count(), sy.bit_count())
-        a, b = inner.bit_count(), outer.bit_count()
-        gap = width - both.bit_count()
-        # norm > 2 * (1 - ratio)
-        if gap * b > (b - a) * width:
-            raise ConditionViolation(
-                "per-radius norm exceeds its ratio bound",
-                x=x, y=y, k=k, n=n, m=m,
-            )
-        gaps.append(gap)
-        widths.append(width)
-        inners.append(a)
-        outers.append(b)
-    norm_den = math.lcm(*widths)
-    mean_norm = Fraction(2 * sum(g * (norm_den // w) for g, w in zip(gaps, widths)), n * norm_den)
-    ratio_den = math.lcm(*outers)
-    ratio_sum = sum(a * (ratio_den // b) for a, b in zip(inners, outers))
-    mean = Fraction(ratio_sum, n * ratio_den)
-    bound = 2 * (1 - mean)
-    if var > mean_norm or mean_norm > bound:
-        raise ConditionViolation(
-            "variation chain is out of order", x=x, y=y, n=n, m=m,
-        )
-    # the ratio product is prod_a / prod_b
-    prod_a, prod_b = math.prod(inners), math.prod(outers)
-    if mean.numerator**n * prod_b < prod_a * mean.denominator**n:
-        raise ConditionViolation(
-            "mean-vs-product inequality failed", x=x, y=y, n=n, m=m,
-        )
-    if 2 * m <= n:
-        head = math.prod(rx[j].bit_count() for j in range(n + 1 - m, n + m + 1))
-        tail = math.prod(rx[j].bit_count() for j in range(2 * n + 1 - m, 2 * n + m + 1))
-        if prod_a * tail != head * prod_b:
-            raise ConditionViolation(
-                "ratio product failed to telescope", x=x, y=y, n=n, m=m,
-            )
-    if prod_a * p_n ** (2 * m) < prod_b:
-        raise ConditionViolation(
-            "ratio product undershoots the size bound", x=x, y=y, n=n, m=m,
-        )
-    return var, bound
+    rows, _ = _row_array(provider, [x, y], n)
+    sizes = _sizes(rows)
+    pair = np.array([0]), np.array([1])
+    return _chain(rows, sizes, _xi_weights(rows, sizes, n), [x, y], *pair, m, n, p_n)[:2]
 
 
 def certify(provider, n_list, m_list, sample) -> list[PropACertificate]:
@@ -419,8 +695,9 @@ def certify(provider, n_list, m_list, sample) -> list[PropACertificate]:
     for n in n_list:
         report = verify_conditions(provider, n, sample)
         p_n = report.p_n
-        rows = report.rows
-        xis = {x: xi(provider, x, n, rows[x]) for x in sample}
+        i, j, d = report.pairs
+        sizes = _sizes(report.rows)
+        weights = _xi_weights(report.rows, sizes, n) if len(d) else None
         cert = PropACertificate(
             provider=provider.name,
             basepoint=provider.basepoint,
@@ -429,13 +706,10 @@ def certify(provider, n_list, m_list, sample) -> list[PropACertificate]:
             p_n=p_n,
         )
         for m in m_list:
-            pairs = [(x, y) for x, y, d in report.pairs if d == m]
-            sup_var = Fraction(0)
-            sup_bound = Fraction(0)
-            for x, y in pairs:
-                var, bound = _check_pair_chain(provider, x, y, m, n, p_n, xis, rows)
-                sup_var = max(sup_var, var)
-                sup_bound = max(sup_bound, bound)
+            at_m = d == m
+            sup_var, sup_bound, bigint = _chain(
+                report.rows, sizes, weights, sample, i[at_m], j[at_m], m, n, p_n
+            )
             # sup_var <= sup_bound <= 2*(1 - p**(-2m/n)), the last
             # comparison done on integer powers.
             if sup_var > sup_bound:
@@ -450,7 +724,8 @@ def certify(provider, n_list, m_list, sample) -> list[PropACertificate]:
                     sup_variation=sup_var,
                     amgm_bound=sup_bound,
                     p_bound_float=2.0 * (1.0 - p_n ** (-2.0 * m / n)),
-                    pair_count=len(pairs),
+                    pair_count=int(at_m.sum()),
+                    bigint_pairs=bigint,
                 )
             )
         certs.append(cert)

@@ -11,6 +11,7 @@ here always parses.
 import contextlib
 import io
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from mediancert import errors
 from mediancert.coarse_median import coarsened_grid
 from mediancert.harness_cli import generate, main, write_graph_text, write_instance_text
-from mediancert.median_core import MedianGraph
+from mediancert.median_core import VERTEX_LIMIT, MedianGraph
 
 RULES = {
     cls.rule for cls in vars(errors).values()
@@ -165,3 +166,27 @@ def test_metric_past_int32_in_sums_is_valid(tmp_path):
     ))
     payload = run_contract(["validate", "--input", str(path)])
     assert payload["kind"] == "instance" and payload["points"] == 3
+
+
+def test_validate_refuses_graph_above_vertex_limit(tmp_path):
+    # a 30,000-vertex path: scipy's float64 distance table alone would
+    # take 6.7 GiB; the refusal comes before any n x n allocation
+    n = 30_000
+    assert n > VERTEX_LIMIT
+    path = tmp_path / "path.graph"
+    path.write_text(f"vertices {n}\n" + "".join(f"e {v} {v + 1}\n" for v in range(n - 1)))
+    tracemalloc.start()
+    try:
+        payload = run_contract(["validate", "--input", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert payload["error"] == "budget" and payload["n"] == n
+    assert peak < 64 * 2**20
+
+
+def test_vertex_limit_admits_the_largest_generated_graphs():
+    # grid 59 59, hypercube 12 and tree 2 10; only the cheapest is built
+    assert max(60 * 60, 2**12, 2**11 - 1) <= VERTEX_LIMIT
+    g = generate("tree", [2, 10])
+    assert g.n == 2**11 - 1 and g.dist.shape == (g.n, g.n)

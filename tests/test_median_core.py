@@ -456,3 +456,55 @@ def test_graph_rejects_bad_edges():
         MedianGraph(3, [(0, 5)])
     with pytest.raises(ValueError):
         MedianGraph(4, [(0, 1), (2, 3)])  # disconnected
+
+
+# -- distances from one-word codes ---------------------------------------
+
+
+def breadth_first_reference(g):
+    """The distance table by scipy's breadth-first search over the edge
+    list, and the wall codes read off it."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    ends = np.array(g.edges).T
+    adj = csr_matrix((np.ones(2 * len(g.edges)), (np.r_[ends[0], ends[1]], np.r_[ends[1], ends[0]])),
+                     shape=(g.n, g.n))
+    dist = dijkstra(adj, unweighted=True).astype(np.int32)
+    return dist, median_core._wall_codes(dist, g.edges)
+
+
+def grid_edges(w, h):
+    return generate("grid", [w, h]).edges
+
+
+@pytest.mark.parametrize("label, n, edges, one_word", [
+    ("grid 9x9", 100, grid_edges(9, 9), True),
+    ("grid 1x40", 82, grid_edges(1, 40), True),
+    ("hypercube 7", 128, generate("hypercube", [7]).edges, True),
+    ("cycle 66", 66, [(i, (i + 1) % 66) for i in range(66)], True),
+    ("cycle 100", 100, [(i, (i + 1) % 100) for i in range(100)], True),
+    # an odd cycle is no partial cube; 100 walls on a longer even one
+    ("cycle 65", 65, [(i, (i + 1) % 65) for i in range(65)], False),
+    ("cycle 200", 200, [(i, (i + 1) % 200) for i in range(200)], False),
+    # 128 leaves, each the only vertex past its own wall
+    ("tree 2 7", 255, generate("tree", [2, 7]).edges, False),
+    # a triangle, and bipartite chords across three steps of the grid;
+    # along the border every edge still flips one bit, but the code
+    # distance falls short of the graph's
+    ("grid 9x9 + diagonal", 100, grid_edges(9, 9) + [(0, 11)], False),
+    ("grid 9x9 + chord", 100, grid_edges(9, 9) + [(0, 3)], False),
+    ("grid 9x9 + border chord", 100, grid_edges(9, 9) + [(9, 39)], False),
+])
+def test_one_word_codes_match_breadth_first_search(label, n, edges, one_word):
+    g = MedianGraph(n, edges)
+    dist, codes = breadth_first_reference(g)
+    assert np.array_equal(g.dist, dist)
+    # the codes are found with the table exactly when they fit one word
+    assert (g._codes is not None) == one_word
+    got = g.wall_codes()
+    assert (got is None) == (codes is None)
+    if codes is not None:
+        assert np.array_equal(got.planes, codes.planes)
+        assert np.array_equal(got.edge_wall, codes.edge_wall)
+        assert got.count == codes.count

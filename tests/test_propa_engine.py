@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import random
 from fractions import Fraction
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from mediancert.coarse_median import CoarseMedianInstance, CoarseWitnessProvider, coarsened_grid
 from mediancert.errors import ConditionViolation, EmptySet, MedianCertError
-from mediancert.harness_cli import generate
+from mediancert.harness_cli import generate, main
 from mediancert.median_core import MedianGraph, VertexSet
 from mediancert.propa_engine import (
     CSV_HEADER,
@@ -286,18 +288,17 @@ def test_pair_chain_matches_fraction_reference(case):
         want = reference_chain(prov, 0, 1, m, n, p_n, xis)
     except ConditionViolation as exc:
         with pytest.raises(ConditionViolation) as got:
-            _check_pair_chain(prov, 0, 1, m, n, p_n, xis)
+            _check_pair_chain(prov, 0, 1, m, n, p_n)
         assert str(got.value) == str(exc)
         return
-    assert _check_pair_chain(prov, 0, 1, m, n, p_n, xis) == want
+    assert _check_pair_chain(prov, 0, 1, m, n, p_n) == want
 
 
 def test_pair_chain_rejects_m_outside_level(path13):
     # rows end at 3n: m above n would read past them, m below 0 wrap
-    xis = {x: xi(path13, x, 1) for x in (7, 8)}
     for m in (-1, 2):
         with pytest.raises(ValueError, match=f"pair distance {m} outside 0..1"):
-            _check_pair_chain(path13, 7, 8, m, 1, 7, xis)
+            _check_pair_chain(path13, 7, 8, m, 1, 7)
 
 
 # -- witness rows against the former set-object code ----------------------
@@ -486,17 +487,18 @@ class LineProvider(DictProvider):
 
 
 @st.composite
-def line_tables(draw):
+def line_tables(draw, points=13):
     # S(x, k) = f(ball(x, k)) on a line is a nesting family for any map
-    # f; then a few sets of sampled centers are emptied, lose a point,
-    # gain another label, or gain the stray point 12, which no honest
-    # set holds: in one set, or in every set of x from radius k on (so
-    # x's own sets still nest)
+    # f to the labels 0..points-2; then a few sets of sampled centers are
+    # emptied, lose a point, gain another label, or gain the stray point
+    # points-1, which no honest set holds: in one set, or in every set
+    # of x from radius k on (so x's own sets still nest)
+    stray = points - 1
     levels = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
     top = 3 * max(levels)
     centers = draw(st.integers(2, 9))
     scale = draw(st.sampled_from([1, 1, 2]))
-    f = draw(st.lists(st.integers(0, 11), min_size=centers, max_size=centers))
+    f = draw(st.lists(st.integers(0, stray - 1), min_size=centers, max_size=centers))
     table = {
         (x, k): sorted({f[z] for z in range(centers) if abs(x - z) <= k * scale})
         for x in range(centers) for k in range(1, top + 1)
@@ -510,10 +512,10 @@ def line_tables(draw):
         elif kind == "drop":
             table[(x, k0)] = table[(x, k0)][1:]
         else:
-            extra = draw(st.integers(0, 11)) if kind == "label" else 12
+            extra = draw(st.integers(0, stray - 1)) if kind == "label" else stray
             for k in range(k0, top + 1 if kind == "tail" else k0 + 1):
                 table[(x, k)] = sorted(set(table[(x, k)]) | {extra})
-    prov = LineProvider(13, table, draw(st.integers(0, 12)), scale)
+    prov = LineProvider(points, table, draw(st.integers(0, stray)), scale)
     m_list = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     max_pairs = draw(st.none() | st.integers(1, 6))
     return prov, levels, m_list, sample, max_pairs
@@ -527,6 +529,44 @@ PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 def test_rows_match_former_code_on_tables(case):
     prov, levels, m_list, sample, max_pairs = case
     assert_same_as_former(prov, prov, levels, m_list, sample, max_pairs)
+
+
+@PROPERTY_SETTINGS
+@given(line_tables(points=150))
+def test_rows_match_former_code_on_wide_tables(case):
+    # 150 points: every row spans three words, the last one partial, and
+    # the labels, the stray point 149 and the basepoint land in any word
+    prov, levels, m_list, sample, max_pairs = case
+    assert_same_as_former(prov, prov, levels, m_list, sample, max_pairs)
+
+
+def nested_pair_table(sizes):
+    """Sets of two centers one apart at k = 1..len(sizes): S(0, k) is
+    range(sizes[k-1]) and S(1, k) swaps its last point for the next one.
+    With sizes two or more apart the pair passes every nesting test."""
+    table = {}
+    for k, size in enumerate(sizes, start=1):
+        table[(0, k)] = list(range(size))
+        table[(1, k)] = list(range(size - 1)) + [size]
+    return DictProvider(sizes[-1] + 1, table)
+
+
+def test_chain_falls_back_to_python_ints_past_int64():
+    # at n = 8 the sizes at k = 9..16 are eight distinct primes, so
+    # n * lcm(|S_k|) is about 2^65.8: past int64, the pair runs on Python
+    # ints, and agrees with the former code
+    primes = [211, 223, 227, 229, 233, 239, 241, 251]
+    assert 8 * math.prod(primes) > 2**63
+    sizes = list(range(100, 180, 10)) + primes + list(range(260, 340, 10))
+    prov = nested_pair_table(sizes)
+    (cert,) = assert_same_as_former(prov, prov, [8], [1, 2], [0, 1])
+    assert [row.pair_count for row in cert.rows] == [1, 0]
+    assert certify(prov, [8], [1, 2], [0, 1])[0].rows[0].bigint_pairs == 1
+    # the same shape with small sizes stays on int64
+    small = nested_pair_table(list(range(10, 250, 10)))
+    (cert,) = assert_same_as_former(small, small, [8], [1], [0, 1])
+    assert cert.rows[0].pair_count == 1
+    assert certify(small, [8], [1], [0, 1])[0].rows[0].bigint_pairs == 0
 
 
 class FormerCat0:
@@ -564,6 +604,55 @@ def test_rows_match_former_code_on_cat0(data):
             for k in range(1, 3 * l + 1):
                 assert prov.sets(x, k, l) == former.sets(x, k, l)
     assert_same_as_former(prov, former, levels, [1, 2], sample)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_witness_rows_match_sets(data):
+    # sets() and witness_rows() are both public: every (x, k) agrees
+    # once the row columns are mapped to their vertices
+    if data.draw(st.booleans()):
+        g = generate("grid", [data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))])
+    else:
+        g = generate("tree", [data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5))])
+    prov = Cat0WitnessProvider(g, data.draw(st.integers(0, g.n - 1)))
+    l = data.draw(st.integers(1, 4))
+    centers = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n))
+    rows, points = prov.witness_rows(centers, l)
+    # one column per distinct endpoint of the 3l cube steps
+    assert np.array_equal(points, np.unique(prov._endpoint_row(l)))
+    assert rows.shape == (len(centers), 3 * l + 1, -(-len(points) // 64))
+    assert not rows[:, 0].any()
+    for i, x in enumerate(centers):
+        for k in range(1, 3 * l + 1):
+            bits = int.from_bytes(rows[i, k].astype("<u8").tobytes(), "little")
+            mask = sum(1 << int(points[u]) for u in range(len(points)) if bits >> u & 1)
+            assert bits >> len(points) == 0 and mask == prov.sets(x, k, l).mask
+
+
+def test_witness_rows_reject_centers_out_of_range(path13):
+    for x in (-1, 13):
+        with pytest.raises(ValueError, match=f"center {x} out of range"):
+            path13.witness_rows([4, x], 1)
+
+
+def test_cli_propa_coarse_bytes(tmp_path, monkeypatch):
+    # the coarse provider's certificate on coarse-grid 1 1, byte for byte
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "coarse-grid", "1", "1", "--output", "c11.inst"]) == 0
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["propa", "--provider", "coarse", "--input", "c11.inst", "--n", "2,4", "--m", "1,2"])
+    assert code == 0
+    assert buf.getvalue() == (
+        '{"basepoint": 0, "certificates": [{"basepoint": 0, "n": 2, "p_n": 5, "provider": "coarse", '
+        '"rows": [{"amgm_bound": "0/1", "m": 1, "p_bound_float": 1.6, "sup_variation": "0/1"}, '
+        '{"amgm_bound": "1/1", "m": 2, "p_bound_float": 1.92, "sup_variation": "1/4"}], '
+        '"support_radius": 4}, {"basepoint": 0, "n": 4, "p_n": 5, "provider": "coarse", '
+        '"rows": [{"amgm_bound": "0/1", "m": 1, "p_bound_float": 1.1055728090000843, "sup_variation": "0/1"}, '
+        '{"amgm_bound": "1/10", "m": 2, "p_bound_float": 1.6, "sup_variation": "0/1"}], '
+        '"support_radius": 4}], "input": "c11.inst", "provider": "coarse", "sample_size": 5}\n'
+    )
 
 
 @pytest.mark.parametrize("w, h, basepoint, levels", [
