@@ -7,14 +7,16 @@ then a "metric explicit" section with N*(N-1)/2 lines "d i j value"
 "m i j k v" per triple.  Sections left out of an instance file are
 filled from a graph when one is supplied alongside.
 
-Exit status is 0 only when every requested check passed; failures
-print one JSON object naming the violated rule.
+Exit status is 0 only when every requested check passed; failures,
+argument errors included, print one JSON object naming the violated
+rule and exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -45,7 +47,7 @@ from .errors import (
     MedianCertError,
     MedianViolation,
 )
-from .median_core import _MASK64, MedianGraph, majority_closure
+from .median_core import _MASK64, VERTEX_LIMIT, MedianGraph, majority_closure
 from .propa_engine import (
     CSV_HEADER,
     Cat0WitnessProvider,
@@ -59,7 +61,19 @@ GRAPH_KINDS = ("hypercube", "grid", "tree", "staircase", "median-closure")
 # -- generators --------------------------------------------------------
 
 
+def _refuse_above_limit(count: int) -> None:
+    """MedianGraph's refusal above VERTEX_LIMIT, from a vertex count
+    computed before any edge is listed.  A count of 2^64 or more stands
+    for any larger one: generators pass such counts capped."""
+    if count > VERTEX_LIMIT:
+        raise BudgetExceeded(
+            f"distance table disabled above {VERTEX_LIMIT} vertices",
+            n=count if count < 1 << 64 else "2^64 or more",
+        )
+
+
 def _hypercube(d: int) -> MedianGraph:
+    _refuse_above_limit(1 << min(d, 64))
     edges = [
         (v, v | (1 << i))
         for v in range(1 << d)
@@ -72,6 +86,7 @@ def _hypercube(d: int) -> MedianGraph:
 def _grid(w: int, h: int) -> MedianGraph:
     # w and h count edges per side, so the grid has (w+1)*(h+1) vertices
     cols, rows = w + 1, h + 1
+    _refuse_above_limit(cols * rows)
     edges = []
     for i in range(cols):
         for j in range(rows):
@@ -85,6 +100,11 @@ def _grid(w: int, h: int) -> MedianGraph:
 def _tree(branching: int, depth: int) -> MedianGraph:
     if branching < 1:
         raise ValueError("branching must be at least 1")
+    # 1 + b + ... + b^depth vertices, the depth capped at 64 for b > 1
+    count = max(depth, 0) + 1
+    if branching > 1:
+        count = (branching ** min(count, 65) - 1) // (branching - 1)
+    _refuse_above_limit(count)
     edges = []
     frontier = [0]
     nxt = 1
@@ -101,6 +121,7 @@ def _tree(branching: int, depth: int) -> MedianGraph:
 
 def _staircase(n: int) -> MedianGraph:
     # n unit squares glued corner to corner along a diagonal
+    _refuse_above_limit(3 * n + 1)
     edges = []
     for k in range(n):
         a = 3 * k
@@ -111,7 +132,10 @@ def _staircase(n: int) -> MedianGraph:
 def _closure_graph(n_pts: int, d: int, seed: int, cap: int = 4096) -> MedianGraph:
     """Sample n_pts hypercube vertices, close under bitwise majority,
     take the induced subgraph.  Retries seeds that land on a
-    disconnected or degenerate induced graph."""
+    disconnected or degenerate induced graph.  More distinct sample
+    points than ``cap`` are refused before any is drawn."""
+    if n_pts > cap and d >= cap.bit_length():  # min(n_pts, 2^d) > cap
+        raise BudgetExceeded("sample above the closure cap", points=n_pts, dim=d, cap=cap)
     rng = random.Random(seed)
     space = 1 << d
     for _ in range(64):
@@ -706,8 +730,17 @@ def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v != ""]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise ValueError, which
+    ``main`` reports as one invalid-input object; its subparsers are of
+    the same class."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mediancert",
         description="median graph checks and witness-set certificates",
     )
@@ -736,8 +769,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("propa", help="emit a witness-family certificate")
     sp.add_argument("--provider", choices=("cat0", "coarse"), default="cat0")
     sp.add_argument("--basepoint", type=int, default=0)
-    sp.add_argument("--n", dest="n_list", type=_int_list, default=[2, 4])
-    sp.add_argument("--m", dest="m_list", type=_int_list, default=[1])
+    # string defaults go through _int_list, a fresh list per parse
+    sp.add_argument("--n", dest="n_list", type=_int_list, default="2,4")
+    sp.add_argument("--m", dest="m_list", type=_int_list, default="1")
     sp.add_argument("--sample", type=int)
     sp.add_argument("--t", type=int, default=1)
     sp.add_argument("--r", type=int)
@@ -766,10 +800,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**fields)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of ``main``."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
+        cfg = config_from_args(_parser().parse_args(argv))
         return HANDLERS[cfg.command](cfg)
     except MedianCertError as exc:
         sys.stdout.write(_dump(exc.report()))

@@ -9,10 +9,9 @@ between nearby centers is controlled by set-size ratios alone:
       <= 2*(1 - (1/n) * sum_k |S(x,k-m)| / |S(x,k+m)|)
       <= 2*(1 - p**(-2m/n))
 
-with p the largest set size seen.  Every inequality is decided exactly;
-the fractional power in the last bound is only evaluated in floating
-point for display, with the comparison done on integer powers after
-clearing denominators.
+with p the largest set size seen.  The variation and the ratio bound
+are computed exactly; the fractional power in the last bound is only
+evaluated in floating point, for display.
 
 Row arrays.  A level reads the sets of a center sample once into a
 ``uint64`` array rows[i, k, :] (centers x (3n+1) x words) with a label
@@ -33,21 +32,19 @@ radius, from blocks of that table; other providers are asked through
 ``distance`` pair by pair.  Pair work runs in blocks whose temporaries
 hold about ``_BLOCK`` elements.
 
-Exactness.  Per pair, every ratio of the chain is put over n*D, with D
-the lcm of the sizes it divides by (x's at radii n+1-m..2n+m, y's at
-n+1..2n).  xi of each center is held once per level as integer weights
-lcm/|S_k| per point over n*lcm, and a pair's variation is 2(nD - their
-overlap), the overlap summed over x's support.  Where n*D <= 2^61,
-checked per pair in int64 by floor division, every numerator
-(variation, mean norm, ratio sum, bound) is at most 2nD <= 2^62, and the
-per-radius test gap*b <= (b-a)*width multiplies two sizes of at most the
-row width, 64*words < 2^31 bits (a graph has at most
-median_core.VERTEX_LIMIT = 8192 vertices, so V^2 < 2^62): int64 is
-exact.  Other pairs run the same code on Python ints (object arrays).
-The mean-vs-product, telescoping and size-bound checks read x's sizes
-alone; each distinct size profile is decided once in Python ints.
-Fractions are built only for the row sups, and floats only pick the
-candidates for a sup, which is then taken exactly.
+Exactness.  Condition (ii) is decided exactly by the nesting sweep, for
+every pair of the level that certify reads; each inequality of the
+chain above follows from it (the proofs are in ``_chain``'s docstring),
+so the chain only computes its two sides.  Per pair, every ratio of the
+chain is put over n*D, with D the lcm of the sizes it divides by (x's at
+radii n+1-m..2n+m, y's at n+1..2n).  xi of each center is held once
+per level as integer weights lcm/|S_k| per point over n*lcm, and a
+pair's variation is 2(nD - their overlap), the overlap summed over x's
+support.  Where n*D <= 2^61, checked per pair in int64 by floor
+division, every numerator (variation, ratio sum, bound) is at most
+2nD <= 2^62: int64 is exact.  Other pairs run the same code on Python
+ints (object arrays).  Fractions are built only for the row sups, and
+floats only pick the candidates for a sup, which is then taken exactly.
 """
 
 from __future__ import annotations
@@ -400,11 +397,14 @@ def verify_conditions(provider, n: int, sample, max_pairs: int | None = None) ->
     only on n, (ii) for centers at distance d <= n the sets nest,
     S(x, k-d, n) inside S(x,k,n) & S(y,k,n) and
     S(x,k,n) | S(y,k,n) inside S(x, k+d, n), and (iii) set sizes are
-    bounded; the maxima are reported, violations raise."""
+    bounded; the maxima are reported, violations raise.  The sample
+    must not be empty."""
     sample = [int(x) for x in sample]
+    if not sample:
+        raise ValueError("the center sample is empty")
     rows, points = _row_array(provider, sample, n)
     sizes = _sizes(rows)
-    p_by_k = {k: int(sizes[:, k].max()) for k in range(1, 3 * n + 1)} if sample else {}
+    p_by_k = {k: int(sizes[:, k].max()) for k in range(1, 3 * n + 1)}
     saturated = 0
     for u in np.flatnonzero(points == provider.basepoint):
         lone = np.zeros(rows.shape[2], dtype=np.uint64)
@@ -420,7 +420,7 @@ def verify_conditions(provider, n: int, sample, max_pairs: int | None = None) ->
         n=n,
         sample_size=len(sample),
         support_radius=radius,
-        p_n=max(p_by_k.values(), default=0),
+        p_n=max(p_by_k.values()),
         p_by_k=p_by_k,
         pairs_checked=pairs.shape[1],
         saturated_sets=saturated,
@@ -493,42 +493,6 @@ CSV_HEADER = [
 ]
 
 
-_CHAIN_TESTS = (
-    "nesting failed inside the certificate chain",
-    "per-radius norm exceeds its ratio bound",
-)
-_CHAIN_TAIL = (
-    "variation chain is out of order",
-    "mean-vs-product inequality failed",
-    "ratio product failed to telescope",
-    "ratio product undershoots the size bound",
-)
-
-
-def _profile_checks(sizes: np.ndarray, m: int, n: int, p_n: int) -> np.ndarray:
-    """Per center, the mean-vs-product, telescoping and size-bound
-    failures of its chains at distance m (centers x 3): they read only
-    the center's sizes at radii n+1-m..2n+m, with inner sizes a_k at
-    k-m and outer sizes b_k at k+m, so each distinct profile is decided
-    once, in Python ints."""
-    profiles, inverse = np.unique(sizes[:, n + 1 - m:2 * n + m + 1], axis=0, return_inverse=True)
-    out = []
-    for prof in profiles.tolist():
-        inners, outers = prof[:n], prof[2 * m:]
-        ratio_den = math.lcm(*outers)
-        ratio_sum = sum([a * (ratio_den // b) for a, b in zip(inners, outers)])
-        prod_a, prod_b = math.prod(inners), math.prod(outers)
-        out.append((
-            # the mean of the ratios is ratio_sum / (n * ratio_den); its
-            # n-th power against their product, denominators cleared
-            ratio_sum**n * prod_b < prod_a * (n * ratio_den) ** n,
-            # the ratio product is head / tail
-            2 * m <= n and prod_a * math.prod(prof[n:n + 2 * m]) != math.prod(prof[:2 * m]) * prod_b,
-            prod_a * p_n ** (2 * m) < prod_b,
-        ))
-    return np.array(out, dtype=bool).reshape(-1, 3)[inverse.reshape(-1)]
-
-
 def _lcm(cols: list[np.ndarray], limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise lcm of integer columns, and where it stays <= limit;
     past the limit a row's lcm stops growing, so int64 never wraps."""
@@ -572,44 +536,27 @@ def _xi_weights(rows: np.ndarray, sizes: np.ndarray, n: int) -> tuple:
     return lcm, nums, support, np.take_along_axis(nums, support, axis=1)
 
 
-def _chain_terms(rows, sizes, weights, i, j, den, m, n):
-    """The chain of pairs (i[p], j[p]) over their centers' rows, sizes and
-    xi weights, in the dtype of ``sizes``: int64 within the bound of the
-    module docstring, or object for Python ints.  Returns the failures of
-    the per-radius tests (nesting and ratio at each k) and of the order
-    test, and the variation and bound numerators over n * den."""
+def _chain_terms(sizes, weights, i, j, den, m, n):
+    """The variation and bound numerators over n * den of the pairs
+    (i[p], j[p]), from their centers' sizes and xi weights, in the dtype
+    of ``sizes``: int64 within the bound of the module docstring, or
+    object for Python ints."""
     lcm, nums, support, own = weights
-    fail = np.zeros((len(i), 2 * n + 1), dtype=bool)
     var = np.zeros(len(i), dtype=sizes.dtype)
     bound = np.zeros(len(i), dtype=sizes.dtype)
-    step = max(1, _BLOCK // max(rows[0].size, support.shape[1]))
+    step = max(1, _BLOCK // max(n, support.shape[1]))
     for lo in range(0, len(i), step):
         x, y, d = i[lo:lo + step], j[lo:lo + step], den[lo:lo + step]
-        # radii n+1-m..2n+m: inner k-m, k and outer k+m for k = n+1..2n
-        span = slice(n + 1 - m, 2 * n + 1 + m)
-        rx, ry, sx, sy = rows[x, span], rows[y, span], sizes[x, span], sizes[y, span]
-        inner, mid, outer = (slice(s, s + n) for s in (0, m, 2 * m))
-        both = rx[:, mid] & ry[:, mid]
-        fail[lo:lo + step, 0:2 * n:2] = (
-            (rx[:, inner] & ~both) | ((rx[:, mid] | ry[:, mid]) & ~rx[:, outer])
-        ).any(axis=2)
-        width = np.maximum(sx[:, mid], sy[:, mid])
-        a, b = sx[:, inner], sx[:, outer]
-        gap = width - np.bitwise_count(both).sum(axis=2, dtype=np.int64)
-        # norm > 2 * (1 - ratio)
-        fail[lo:lo + step, 1:2 * n:2] = gap * b > (b - a) * width
-        norm = (2 * gap * (d[:, None] // width)).sum(axis=1)
-        ratio = (a * (d[:, None] // b)).sum(axis=1)
+        # x's inner sizes a_k at k-m and outer sizes b_k at k+m
+        a, b = sizes[x, n + 1 - m:2 * n + 1 - m], sizes[x, n + 1 + m:2 * n + 1 + m]
+        bound[lo:lo + step] = 2 * (n * d - (a * (d[:, None] // b)).sum(axis=1))
         # sum over z of |fx * xi_x(z) - fy * xi_y(z)| over n * d: both
         # vectors sum to n * d, so it is 2 * (n * d - their overlap),
         # the sum of the smaller weight over x's support
         fx, fy = (d // lcm[x])[:, None], (d // lcm[y])[:, None]
         on_x = fy * np.take(nums, y[:, None] * nums.shape[1] + support[x])
-        v = 2 * (n * d - np.minimum(fx * own[x], on_x).sum(axis=1))
-        var[lo:lo + step] = v
-        bound[lo:lo + step] = 2 * (n * d - ratio)
-        fail[lo:lo + step, 2 * n] = (v > norm) | (norm > bound[lo:lo + step])
-    return fail, var, bound
+        var[lo:lo + step] = 2 * (n * d - np.minimum(fx * own[x], on_x).sum(axis=1))
+    return var, bound
 
 
 def _sup(nums: np.ndarray, dens: np.ndarray) -> Fraction:
@@ -627,74 +574,78 @@ def _sup(nums: np.ndarray, dens: np.ndarray) -> Fraction:
     return Fraction(*best)
 
 
-def _chain(rows, sizes, weights, sample, i, j, m, n, p_n) -> tuple[Fraction, Fraction, int]:
-    """Exact inequality chain for the pairs (sample[i[p]], sample[j[p]])
-    at distance m, over the level's rows, their int64 sizes and the int64
-    xi weights of _xi_weights; returns the sup of the measured variation
-    and of the rational ratio bound, and how many pairs ran on Python
-    ints.  Per radius k, with I = |S_x & S_y|, M = max(|S_x|, |S_y|) and
-    inner/outer sizes a/b, the norm is 2(M-I)/M and the ratio a/b.
-    Raises at the first failing pair, at its first failing test in the
-    order: nesting then ratio at each k, order, mean-vs-product,
-    telescoping, size bound."""
+def _chain(rows, sizes, weights, i, j, m, n) -> tuple[Fraction, Fraction, int]:
+    """The sups, over the pairs (i[p], j[p]) at distance m, of the
+    measured variation ||xi_x - xi_y|| and of the ratio bound
+    2(1 - (1/n) sum_k a_k/b_k), and how many pairs ran on Python ints;
+    from the level's rows, their int64 sizes and the int64 xi weights of
+    _xi_weights.  For k = n+1..2n, a_k = |S(x, k-m)|, b_k = |S(x, k+m)|,
+    I = |S_x,k & S_y,k| and w = max(|S_x,k|, |S_y,k|).
+
+    Nothing is checked here: every step of the chain follows from
+    condition (ii), which verify_conditions has decided on the same rows
+    for the same pairs (S(x, k-m) inside S_x,k & S_y,k, and S_x,k | S_y,k
+    inside S(x, k+m)), and from no set being empty.  Per pair:
+    - per radius, 2(w - I)/w <= 2(1 - a_k/b_k): nesting gives a_k <= I
+      and w <= |S_x,k | S_y,k| <= b_k, so a_k * w <= I * b_k;
+    - var <= (1/n) sum_k ||chi_x,k - chi_y,k|| by the triangle
+      inequality, each norm being 2(w - I)/w (chi_l1_identity), and that
+      mean is at most the bound by the line above, summed over k;
+    - (1/n) sum_k a_k/b_k >= (prod_k a_k/b_k)^(1/n) by AM-GM;
+    - prod_k a_k/b_k = head/tail, head the product of x's sizes at radii
+      n+1-m..n+m and tail at 2n+1-m..2n+m (times prod_k b_k * tail, both
+      sides are the product of x's sizes at n+1-m..2n+m, for every
+      0 <= m <= n); head >= 1, and tail <= p^(2m), p the largest size at
+      radii 1..3n, which hold 2n+m;
+    so var <= bound <= 2(1 - p^(-2m/n)).  The same holds for the sups:
+    sup var <= sup bound pair by pair, and the pair attaining the sup of
+    the bound has a mean ratio of at least p^(-2m/n)."""
     if not len(i):
         return Fraction(0), Fraction(0), 0
-    fail = np.zeros((len(i), 2 * n + 4), dtype=bool)
-    fail[:, 2 * n + 1:] = _profile_checks(sizes, m, n, p_n)[i]
     den, fast = _pair_den(sizes, i, j, m, n, _INT64_LIMIT // n)
-    fast &= 64 * rows.shape[2] < 1 << 31
-    sups = []
+    parts = []
     if fast.any():
         idx = np.flatnonzero(fast)
-        part = _chain_terms(rows, sizes, weights, i[idx], j[idx], den[idx], m, n)
-        sups.append((idx, *part, n * den[idx]))
+        var, bound = _chain_terms(sizes, weights, i[idx], j[idx], den[idx], m, n)
+        parts.append((var, bound, n * den[idx]))
     if not fast.all():
         idx = np.flatnonzero(~fast)
         centers, inverse = np.unique(np.concatenate([i[idx], j[idx]]), return_inverse=True)
         x, y = inverse[:len(idx)], inverse[len(idx):]
         big, wide = sizes[centers].astype(object), rows[centers]
-        part_den = _pair_den(big, x, y, m, n)[0]
-        part = _chain_terms(wide, big, _xi_weights(wide, big, n), x, y, part_den, m, n)
-        sups.append((idx, *part, n * part_den))
-    for idx, part_fail, _, _, _ in sups:
-        fail[idx, :2 * n + 1] = part_fail
-    bad = fail.any(axis=1)
-    if bad.any():
-        p = int(np.argmax(bad))
-        test = int(np.argmax(fail[p]))
-        x, y = sample[i[p]], sample[j[p]]
-        if test < 2 * n:
-            raise ConditionViolation(_CHAIN_TESTS[test % 2], x=x, y=y, k=n + 1 + test // 2, n=n, m=m)
-        raise ConditionViolation(_CHAIN_TAIL[test - 2 * n], x=x, y=y, n=n, m=m)
+        big_den = _pair_den(big, x, y, m, n)[0]
+        var, bound = _chain_terms(big, _xi_weights(wide, big, n), x, y, big_den, m, n)
+        parts.append((var, bound, n * big_den))
     return (
-        max(_sup(var, d) for _, _, var, _, d in sups),
-        max(_sup(bound, d) for _, _, _, bound, d in sups),
+        max(_sup(var, d) for var, _, d in parts),
+        max(_sup(bound, d) for _, bound, d in parts),
         int(len(i) - fast.sum()),
     )
 
 
-def _check_pair_chain(provider, x, y, m, n, p_n) -> tuple[Fraction, Fraction]:
-    """The chain for one center pair, read from the provider: its
-    measured variation and its rational ratio bound."""
+def _check_pair_chain(provider, x, y, m, n) -> tuple[Fraction, Fraction]:
+    """The chain for one center pair m apart, read from the provider:
+    the nesting sweep on the pair at d = m, then its measured variation
+    and its rational ratio bound."""
     if not 0 <= m <= n:
         raise ValueError(f"pair distance {m} outside 0..{n}")
     rows, _ = _row_array(provider, [x, y], n)
     sizes = _sizes(rows)
-    pair = np.array([0]), np.array([1])
-    return _chain(rows, sizes, _xi_weights(rows, sizes, n), [x, y], *pair, m, n, p_n)[:2]
+    _nesting_sweep(rows, [x, y], np.array([[0], [1], [m]]), n)
+    return _chain(rows, sizes, _xi_weights(rows, sizes, n), np.array([0]), np.array([1]), m, n)[:2]
 
 
 def certify(provider, n_list, m_list, sample) -> list[PropACertificate]:
     """One certificate per level n; each certificate has a row per
     center-pair distance m with the sup of the measured variation, the
     sup of the rational ratio bound, and the float display of the size
-    bound 2*(1 - p**(-2m/n)).  All orderings are verified exactly.
-    Rows with m outside 1..n hold no pairs."""
+    bound 2*(1 - p**(-2m/n)).  The three are in that order once
+    verify_conditions passes (see _chain).  Rows with m outside 1..n
+    hold no pairs."""
     sample = [int(x) for x in sample]
     certs = []
     for n in n_list:
         report = verify_conditions(provider, n, sample)
-        p_n = report.p_n
         i, j, d = report.pairs
         sizes = _sizes(report.rows)
         weights = _xi_weights(report.rows, sizes, n) if len(d) else None
@@ -703,27 +654,17 @@ def certify(provider, n_list, m_list, sample) -> list[PropACertificate]:
             basepoint=provider.basepoint,
             n=n,
             support_radius=report.support_radius,
-            p_n=p_n,
+            p_n=report.p_n,
         )
         for m in m_list:
             at_m = d == m
-            sup_var, sup_bound, bigint = _chain(
-                report.rows, sizes, weights, sample, i[at_m], j[at_m], m, n, p_n
-            )
-            # sup_var <= sup_bound <= 2*(1 - p**(-2m/n)), the last
-            # comparison done on integer powers.
-            if sup_var > sup_bound:
-                raise ConditionViolation("row ordering failed", n=n, m=m)
-            if (1 - sup_bound / 2) ** n * p_n ** (2 * m) < 1:
-                raise ConditionViolation(
-                    "ratio bound exceeds the size bound", n=n, m=m,
-                )
+            sup_var, sup_bound, bigint = _chain(report.rows, sizes, weights, i[at_m], j[at_m], m, n)
             cert.rows.append(
                 CertificateRow(
                     m=m,
                     sup_variation=sup_var,
                     amgm_bound=sup_bound,
-                    p_bound_float=2.0 * (1.0 - p_n ** (-2.0 * m / n)),
+                    p_bound_float=2.0 * (1.0 - report.p_n ** (-2.0 * m / n)),
                     pair_count=int(at_m.sum()),
                     bigint_pairs=bigint,
                 )

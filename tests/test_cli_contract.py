@@ -4,8 +4,7 @@ over malformed input files.
 Every call of ``main`` ends in one of two ways: a result with exit 0,
 or exit 1 with exactly one JSON object on stdout, whose ``error`` (when
 present) names a rule from ``errors.py`` or ``invalid-input``.  Nothing
-raises.  argparse's own usage errors are out of scope: the argv drawn
-here always parses.
+raises.
 """
 
 import contextlib
@@ -101,7 +100,7 @@ def run_contract(argv) -> dict | None:
     assert code in (0, 1)
     out = buf.getvalue()
     assert out.endswith("\n") and out.count("\n") == 1, out
-    if argv[0] == "rank" and code == 0:
+    if argv[:1] == ["rank"] and code == 0:
         assert int(out) >= 0
         return None
     payload = json.loads(out)
@@ -190,3 +189,56 @@ def test_vertex_limit_admits_the_largest_generated_graphs():
     assert max(60 * 60, 2**12, 2**11 - 1) <= VERTEX_LIMIT
     g = generate("tree", [2, 10])
     assert g.n == 2**11 - 1 and g.dist.shape == (g.n, g.n)
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bogus"],
+    ["propa"],
+    ["propa", "--n", "a", "--input", "{grid}"],
+    ["propa", "--provider", "torus", "--input", "{grid}"],
+    ["validate", "--bogus", "1", "--input", "{grid}"],
+    ["ncp", "--from", "x", "--to", "1", "--input", "{grid}"],
+    ["deep-point", "--from", "0", "--input", "{grid}"],
+    ["gen", "torus", "3"],
+    ["gen", "grid", "2", "x"],
+])
+def test_unparseable_argv_ends_in_one_error(files, argv):
+    payload = run_contract([a.format(**files) for a in argv])
+    assert payload["error"] == "invalid-input"
+    assert payload["message"].startswith("mediancert")
+
+
+@pytest.mark.parametrize("params, n", [
+    (["staircase", "3000000"], 9_000_001),
+    (["hypercube", "18"], 2**18),
+    (["hypercube", "30"], 2**30),
+    (["hypercube", "100000000000"], "2^64 or more"),
+    (["grid", "100000", "100000"], 100_001**2),
+    (["tree", "2", "13"], 2**14 - 1),
+    (["tree", "1", "9000"], 9001),
+    (["tree", "7", "1000000000000"], "2^64 or more"),
+])
+def test_oversized_generator_refused_before_building(params, n):
+    # the vertex count comes from the parameters, before any edge list
+    tracemalloc.start()
+    try:
+        payload = run_contract(["gen", *params])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert payload == {
+        "error": "budget", "message": f"distance table disabled above {VERTEX_LIMIT} vertices", "n": n,
+    }
+    assert peak < 4 * 2**20
+
+
+def test_closure_sample_above_cap_refused_before_sampling():
+    tracemalloc.start()
+    try:
+        payload = run_contract(["gen", "median-closure", "5000", "20"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert payload["error"] == "budget" and payload["points"] == 5000 and payload["cap"] == 4096
+    assert peak < 4 * 2**20

@@ -143,6 +143,13 @@ def test_certify_skips_m_above_n(path13):
     assert tail.sup_variation == 0 and tail.amgm_bound == 0
 
 
+def test_empty_sample_refused(path13):
+    with pytest.raises(ValueError, match="sample is empty"):
+        verify_conditions(path13, 2, [])
+    with pytest.raises(ValueError, match="sample is empty"):
+        certify(path13, [2], [1], [])
+
+
 def test_max_pairs_subsampling(path13):
     sample = eligible_sample(path13, 1)
     rep = verify_conditions(path13, 1, sample, max_pairs=3)
@@ -252,11 +259,23 @@ def reference_chain(provider, x, y, m, n, p_n, xis):
     return var, bound
 
 
+class PairProvider(DictProvider):
+    """Table sets of the two centers 0 and 1, ``m`` apart."""
+
+    def __init__(self, n_points, table, m):
+        super().__init__(n_points, table)
+        self.m = m
+
+    def distance(self, x, y):
+        return self.m * abs(x - y)
+
+
 @st.composite
 def chain_cases(draw):
-    # nested sets at x, sets at y squeezed between x's neighbours, so
-    # that every branch of the chain is reached, plus an occasional
-    # stray point that breaks the nesting
+    # nested sets at x; sets at y squeezed between x's neighbours, either
+    # grown from one radius to the next or drawn afresh at each, so that
+    # y's own nesting holds or breaks; plus an occasional stray point
+    # that breaks the nesting
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, n))
     grow = draw(st.lists(st.lists(st.integers(0, 11), max_size=3), min_size=3 * n, max_size=3 * n))
@@ -264,41 +283,45 @@ def chain_cases(draw):
     for extra in grow:
         cur = cur | set(extra)
         at_x.append(sorted(cur))
-    table = {}
+    grown = draw(st.booleans())
+    table, at_y = {}, set()
     for k in range(1, 3 * n + 1):
         table[(0, k)] = at_x[k - 1]
         low = set(at_x[k - 2]) if k > 1 else set()
         high = at_x[min(k, 3 * n - 1)]
-        table[(1, k)] = sorted(low | set(draw(st.lists(st.sampled_from(high), max_size=4))))
-        if not table[(1, k)]:
-            table[(1, k)] = [0]
+        at_y = (at_y if grown else set()) | low | set(draw(st.lists(st.sampled_from(high), max_size=4)))
+        table[(1, k)] = sorted(at_y) or [0]
     if draw(st.integers(0, 4)) == 0:
         k = draw(st.integers(1, 3 * n))
         table[(1, k)] = sorted(set(table[(1, k)]) | {12})
-    p_n = draw(st.integers(1, 14))
-    return DictProvider(13, table), m, n, p_n
+    return PairProvider(13, table, m), m, n
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(chain_cases())
 def test_pair_chain_matches_fraction_reference(case):
-    prov, m, n, p_n = case
-    xis = {x: xi(prov, x, n) for x in (0, 1)}
+    # _check_pair_chain decides condition (ii) for its pair at d = m, as
+    # the nesting sweep does, and only then computes the chain; where
+    # the nesting holds, the Fraction reference run with p_n the pair's
+    # largest size passes every check it makes
+    prov, m, n = case
     try:
-        want = reference_chain(prov, 0, 1, m, n, p_n, xis)
+        former_nesting(prov, 0, 1, m, n)
     except ConditionViolation as exc:
         with pytest.raises(ConditionViolation) as got:
-            _check_pair_chain(prov, 0, 1, m, n, p_n)
-        assert str(got.value) == str(exc)
+            _check_pair_chain(prov, 0, 1, m, n)
+        assert (str(got.value), got.value.context) == (str(exc), exc.context)
         return
-    assert _check_pair_chain(prov, 0, 1, m, n, p_n) == want
+    p_n = max(len(prov.sets(x, k, n)) for x in (0, 1) for k in range(1, 3 * n + 1))
+    xis = {x: xi(prov, x, n) for x in (0, 1)}
+    assert _check_pair_chain(prov, 0, 1, m, n) == reference_chain(prov, 0, 1, m, n, p_n, xis)
 
 
 def test_pair_chain_rejects_m_outside_level(path13):
     # rows end at 3n: m above n would read past them, m below 0 wrap
     for m in (-1, 2):
         with pytest.raises(ValueError, match=f"pair distance {m} outside 0..1"):
-            _check_pair_chain(path13, 7, 8, m, 1, 7)
+            _check_pair_chain(path13, 7, 8, m, 1)
 
 
 # -- witness rows against the former set-object code ----------------------
@@ -356,26 +379,32 @@ def former_verify_conditions(provider, n, sample, max_pairs=None):
         step = len(pairs) / max_pairs
         pairs = [pairs[int(i * step)] for i in range(max_pairs)]
     for x, y, d in pairs:
-        for k in range(n + 1, 2 * n + 1):
-            sx, sy = provider.sets(x, k, n), provider.sets(y, k, n)
-            for c, far in ((x, y), (y, x)):
-                sc, sf = (sx, sy) if c == x else (sy, sx)
-                inner = provider.sets(c, k - d, n)
-                outer = provider.sets(c, k + d, n)
-                if not inner <= (sc & sf):
-                    raise ConditionViolation(
-                        "inner witness set escapes the intersection",
-                        x=c, y=far, k=k, n=n, d=d,
-                    )
-                if not (sc | sf) <= outer:
-                    raise ConditionViolation(
-                        "witness union escapes the outer set",
-                        x=c, y=far, k=k, n=n, d=d,
-                    )
+        former_nesting(provider, x, y, d, n)
     return ConditionReport(
         n=n, sample_size=len(sample), support_radius=radius, p_n=p_n,
         p_by_k=p_by_k, pairs_checked=len(pairs), saturated_sets=saturated,
     )
+
+
+def former_nesting(provider, x, y, d, n):
+    """Condition (ii) for one pair d apart: its first failure, walked
+    through k, center (x before y) and test (inner before union)."""
+    for k in range(n + 1, 2 * n + 1):
+        sx, sy = provider.sets(x, k, n), provider.sets(y, k, n)
+        for c, far in ((x, y), (y, x)):
+            sc, sf = (sx, sy) if c == x else (sy, sx)
+            inner = provider.sets(c, k - d, n)
+            outer = provider.sets(c, k + d, n)
+            if not inner <= (sc & sf):
+                raise ConditionViolation(
+                    "inner witness set escapes the intersection",
+                    x=c, y=far, k=k, n=n, d=d,
+                )
+            if not (sc | sf) <= outer:
+                raise ConditionViolation(
+                    "witness union escapes the outer set",
+                    x=c, y=far, k=k, n=n, d=d,
+                )
 
 
 def former_chain(provider, x, y, m, n, p_n, xis):
@@ -604,6 +633,47 @@ def test_rows_match_former_code_on_cat0(data):
             for k in range(1, 3 * l + 1):
                 assert prov.sets(x, k, l) == former.sets(x, k, l)
     assert_same_as_former(prov, former, levels, [1, 2], sample)
+
+
+@st.composite
+def cat0_cases(draw):
+    if draw(st.booleans()):
+        g = generate("grid", [draw(st.integers(1, 7)), draw(st.integers(1, 7))])
+    else:
+        g = generate("tree", [draw(st.integers(1, 3)), draw(st.integers(1, 4))])
+    prov = Cat0WitnessProvider(g, draw(st.integers(0, g.n - 1)))
+    levels = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    return prov, levels, eligible_sample(prov, max(levels), limit=12, seed=draw(st.integers(0, 99)))
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(
+    chain_cases().map(lambda case: (case[0], [case[2]], [0, 1])),
+    line_tables().map(lambda case: (case[0], case[1], case[3])),
+    cat0_cases(),
+))
+def test_chain_checks_follow_from_nesting(case):
+    # wherever verify_conditions passes, no check the former chain made
+    # can fail (the proofs are in _chain's docstring): former_chain with
+    # the report's p_n raises nothing on any pair, at its distance
+    # m <= n, and the two row checks of former_certify hold
+    prov, levels, sample = case
+    for n in levels:
+        try:
+            report = verify_conditions(prov, n, sample)
+        except MedianCertError:
+            continue
+        xis = {x: SparseL1Vector(former_xi(prov, x, n)) for x in sample}
+        i, j, d = report.pairs
+        for m in range(1, n + 1):
+            chains = [
+                former_chain(prov, sample[i[p]], sample[j[p]], m, n, report.p_n, xis)
+                for p in np.flatnonzero(d == m)
+            ]
+            sup_var = max((var for var, _ in chains), default=Fraction(0))
+            sup_bound = max((bound for _, bound in chains), default=Fraction(0))
+            assert sup_var <= sup_bound
+            assert (1 - sup_bound / 2) ** n * report.p_n ** (2 * m) >= 1
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
