@@ -42,8 +42,7 @@ class Hyperplane:
 
 
 def _edge_relation(g: MedianGraph) -> np.ndarray:
-    ea = np.fromiter((e[0] for e in g.edges), dtype=np.int32)
-    eb = np.fromiter((e[1] for e in g.edges), dtype=np.int32)
+    ea, eb = g.edge_array.T
     d = g.dist
     lhs = d[ea[:, None], ea[None, :]] + d[eb[:, None], eb[None, :]]
     rhs = d[ea[:, None], eb[None, :]] + d[eb[:, None], ea[None, :]]
@@ -59,9 +58,9 @@ def _codes(g: MedianGraph) -> WallCodes:
     if codes is not None:
         return codes
     color = g.dist[0] % 2
-    for u, v in g.edges:
-        if color[u] == color[v]:
-            raise NotMedian("graph has an odd cycle", edge=(u, v))
+    odd = np.flatnonzero(color[g.edge_array[:, 0]] == color[g.edge_array[:, 1]])
+    if len(odd):
+        raise NotMedian("graph has an odd cycle", edge=g.edges[odd[0]])
     rel = _edge_relation(g)
     hops = rel.astype(np.float32)
     i, j = np.argwhere((hops @ hops > 0) & ~rel)[0]
@@ -171,7 +170,7 @@ def step_map(g: MedianGraph, target: int) -> np.ndarray:
     codes = _codes(g)
     planes = codes.planes
     words, n = planes.shape
-    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    ends = g.edge_array
     wall = codes.edge_wall
     bit = np.left_shift(np.uint64(1), (wall % 64).astype(np.uint64))
     inc = np.zeros_like(planes)

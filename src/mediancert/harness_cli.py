@@ -20,6 +20,7 @@ import functools
 import io
 import itertools
 import json
+import operator
 import os
 import random
 import sys
@@ -214,11 +215,13 @@ def write_graph_text(g: MedianGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_graph_text(text: str) -> MedianGraph:
+def _read_graph_lines(lines: list[str]) -> tuple[int | None, list[tuple[int, int]]]:
+    """The header and the edges of a graph file, line by line: raises at
+    the first line that cannot be read or that repeats an edge."""
     n = None
     edges: list[tuple[int, int]] = []
     seen = set()
-    for no, raw in enumerate(text.splitlines(), 1):
+    for no, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -234,6 +237,46 @@ def parse_graph_text(text: str) -> MedianGraph:
             edges.append((u, v))
         else:
             raise ValueError(f"line {no}: cannot parse {raw!r}")
+    return n, edges
+
+
+def _read_graph_bulk(lines: list[str]) -> tuple[int | None, np.ndarray] | None:
+    """What _read_graph_lines reads, with the "e" lines in one numpy
+    pass; None, leaving the file to _read_graph_lines, unless every other
+    line is blank, a comment or a "vertices N" header and numpy reads
+    every "e" line as two int64 ids."""
+    is_edge = list(map(str.startswith, lines, itertools.repeat(("e ", "e\t"))))
+    edges = _read_tagged(list(itertools.compress(lines, is_edge)), 2)
+    if edges is None:
+        return None
+    n = None
+    for raw in itertools.compress(lines, map(operator.not_, is_edge)):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if parts[0] != "vertices" or len(parts) != 2:
+            return None
+        try:
+            n = int(parts[1])
+        except ValueError:
+            return None
+    # the line by line reader stops at the second line of the first
+    # repeated edge: the smallest later index among equal keys
+    lo, hi = np.minimum(edges[:, 0], edges[:, 1]), np.maximum(edges[:, 0], edges[:, 1])
+    order = np.lexsort((hi, lo))
+    again = order[1:][(lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])]
+    if len(again):
+        i = int(again.min())
+        no = int(np.flatnonzero(is_edge)[i]) + 1
+        raise ValueError(f"line {no}: duplicate edge {(int(lo[i]), int(hi[i]))}")
+    return n, edges
+
+
+def parse_graph_text(text: str) -> MedianGraph:
+    # all but a line or two of a graph file are "e" lines: read them in
+    # bulk, and the file line by line only when that fails
+    lines = text.splitlines()
+    n, edges = _read_graph_bulk(lines) or _read_graph_lines(lines)
     if n is None:
         raise ValueError("missing 'vertices N' header")
     return MedianGraph(n, edges)
@@ -264,18 +307,16 @@ def write_instance_text(inst: CoarseMedianInstance) -> str:
     return out.getvalue()
 
 
-# "m i j k v" as numpy reads it: the tag, then the four integers
-_M_LINE = np.dtype([("tag", "U1"), ("ijkv", np.int64, (4,))])
-
-
-def _read_m_lines(lines: list[str]) -> np.ndarray | None:
-    """(i, j, k, v) rows of lines that start with "m ", in one numpy
-    pass, or None when numpy refuses one: a line it cannot read as five
-    fields is left to the line-by-line reader, which names it."""
+def _read_tagged(lines: list[str], width: int) -> np.ndarray | None:
+    """(k, width) int64 rows of lines that each hold a one-letter tag and
+    ``width`` integers, in one numpy pass, or None when numpy refuses
+    one: a line it cannot read that way is left to a line-by-line
+    reader, which names it."""
     if not lines:
-        return np.empty((0, 4), dtype=np.int64)
+        return np.empty((0, width), dtype=np.int64)
+    tagged = np.dtype([("tag", "U1"), ("ids", np.int64, (width,))])
     try:
-        return np.loadtxt(lines, dtype=_M_LINE, comments="#", ndmin=1)["ijkv"]
+        return np.loadtxt(lines, dtype=tagged, comments="#", ndmin=1)["ids"]
     except ValueError:
         return None
 
@@ -309,7 +350,7 @@ def _parse_instance_lines(lines: list[str], graph: MedianGraph | None) -> Coarse
     # them in bulk, and everything else (if numpy refuses one, every
     # line) one by one
     bulk = list(map(str.startswith, lines, itertools.repeat("m ")))
-    rows = _read_m_lines(list(itertools.compress(lines, bulk)))
+    rows = _read_tagged(list(itertools.compress(lines, bulk)), 4)
     if rows is None:
         bulk = [False] * len(lines)
         rows = np.empty((0, 4), dtype=np.int64)

@@ -5,12 +5,15 @@ Vertices are integers 0..n-1.  A graph is *median* when every triple
 between each pair; all operations here assume that property and raise
 MedianViolation where a computation witnesses its failure.
 
-Distances come from an all-pairs table computed once at construction:
-breadth-first search, or, for a partial cube of more than 64 vertices
-and at most 64 walls, the Hamming distances of its one-word sign codes
-(below), checked to be the graph metric.  Vertex sets are fixed-width
-bitsets so interval and hull computations reduce to word-parallel
-integer arithmetic.
+Distances come from an all-pairs table computed once at construction.
+In a median graph each wall's far side from vertex 0 is convex, so
+gated: its vertex nearest 0 has one parent (neighbour nearer 0), across
+the wall, and its other vertices each have a parent on that side.  So in
+one breadth-first search from 0, a vertex with one parent opens a wall
+and any other takes the OR of its parents' codes (below).  An exact
+check makes this safe on any input; a graph it refuses, or one of more
+than 64 walls, gets a search from every vertex.  Vertex sets are
+fixed-width bitsets for word-parallel interval and hull arithmetic.
 
 Walls and medians come from sign codes.  Each edge (a, b) splits the
 vertices into those closer to a and those closer to b; the distinct
@@ -26,11 +29,12 @@ names their first bad triple.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import BudgetExceeded, MedianViolation, NotFound, ReductionFailure
 
@@ -38,9 +42,9 @@ from .errors import BudgetExceeded, MedianViolation, NotFound, ReductionFailure
 # graphs up to this size; everything else computes rows on demand.
 TABLE_LIMIT = 256
 
-# Every graph keeps an n x n int32 distance table, which breadth-first
-# search builds through an n x n float64 one: 512 MiB at this many
-# vertices.  Larger graphs are refused before any n x n allocation.
+# Every graph keeps an n x n int32 distance table: 256 MiB at this many
+# vertices (searches fill it through float64 blocks of _BLOCK_WORDS).
+# Larger graphs are refused before any n x n allocation.
 VERTEX_LIMIT = 8192
 
 # Working-set cap of one step of the code scans, in uint64 words.
@@ -151,17 +155,16 @@ class WallCodes:
         return np.unpackbits(raw, axis=1, count=self.count, bitorder="little").astype(bool)
 
 
-def _wall_codes(dist: np.ndarray, edges) -> WallCodes | None:
-    """Codes from one split per edge, or None when their Hamming
-    distances differ from ``dist`` somewhere (not a partial cube)."""
+def _wall_codes(dist: np.ndarray, ends: np.ndarray) -> WallCodes | None:
+    """Codes from one split per row of ``ends``, or None when their
+    Hamming distances differ from ``dist`` somewhere (not a partial cube)."""
     n = dist.shape[0]
-    if not edges:
+    if not len(ends):
         return WallCodes(np.zeros((1, n), dtype=np.uint64), np.zeros(0, dtype=np.intp), 0)
-    ea = np.fromiter((e[0] for e in edges), dtype=np.intp, count=len(edges))
-    eb = np.fromiter((e[1] for e in edges), dtype=np.intp, count=len(edges))
-    key = np.empty((len(edges), (n + 7) // 8), dtype=np.uint8)
+    ea, eb = ends.T
+    key = np.empty((len(ends), (n + 7) // 8), dtype=np.uint8)
     step = max(1, _BLOCK_WORDS // n)
-    for lo in range(0, len(edges), step):
+    for lo in range(0, len(ends), step):
         near = dist[:, ea[lo:lo + step]] < dist[:, eb[lo:lo + step]]
         # a split and its complement are one wall: key each by the side of 0
         key[lo:lo + step] = np.packbits(near ^ near[0], axis=0, bitorder="little").T
@@ -185,42 +188,34 @@ def _wall_codes(dist: np.ndarray, edges) -> WallCodes | None:
     return WallCodes(planes, edge_wall, count)
 
 
-def _one_word_codes(graph, edges) -> tuple[WallCodes, np.ndarray] | None:
-    """Wall codes and distance table of a connected partial cube with at
-    most 64 walls, from breadth-first rows of the first edge of each
-    wall; None when a check fails or the graph has more walls.
-
-    Edges are taken in order; one that no wall found so far cuts starts
-    a wall, whose plus side is read off the rows of its ends.  The
+def _single_search_codes(ends: np.ndarray, level: np.ndarray) -> tuple[WallCodes, np.ndarray] | None:
+    """Wall codes and distance table from the breadth-first ``level`` of
+    each vertex seen from 0, by the parent rule of the module docstring;
+    None when a check fails or there are more than 64 walls.  The
     Hamming distance of the codes is the graph distance exactly when
     every edge flips one bit and every vertex v has, for each u != v, an
     edge flipping a bit in which the codes of u and v differ: the first
     makes the code distance move by 1 along each edge, so it is at most
     the graph distance, and the second gives a walk from v to u that
-    long.  The codes are then the ones _wall_codes reads off the full
-    table, and one word per pair costs less than a breadth-first row.
-    More walls show early: the edge at each leaf is a wall of its own,
-    and no vertex of a partial cube is farther from another than the
-    number of walls."""
-    n = graph.shape[0]
-    if (np.diff(graph.indptr) == 1).sum() > 64:
+    long.  Each bit is then one wall, put in _wall_codes's order."""
+    n = len(level)
+    ea, eb = ends.T
+    # no edge within a level (an odd cycle), and no vertex more than 64
+    # steps away: no two vertices of a partial cube are more walls apart
+    if (level[ea] == level[eb]).any() or level.max() > 64:
         return None
-    ea = np.fromiter((e[0] for e in edges), dtype=np.intp, count=len(edges))
-    eb = np.fromiter((e[1] for e in edges), dtype=np.intp, count=len(edges))
-    plus_sides = []
-    uncut = np.arange(len(edges))
-    while len(uncut):
-        if len(plus_sides) == 64:
-            return None
-        a, b = dijkstra(graph, unweighted=True, indices=[ea[uncut[0]], eb[uncut[0]]])
-        if a.max() > 64:
-            return None
-        plus = a >= b
-        plus_sides.append(plus)
-        uncut = uncut[plus[ea[uncut]] == plus[eb[uncut]]]
-    raw = np.zeros((n, 8), dtype=np.uint8)
-    raw[:, :(len(plus_sides) + 7) // 8] = np.packbits(np.array(plus_sides).T, axis=1, bitorder="little")
-    code = raw.view("<u8")[:, 0].astype(np.uint64)
+    down = level[ea] < level[eb]
+    parent, child = np.where(down, ea, eb), np.where(down, eb, ea)
+    opens = np.flatnonzero(np.bincount(child, minlength=n) == 1)
+    if len(opens) > 64:
+        return None
+    code = np.zeros(n, dtype=np.uint64)
+    code[opens] = np.left_shift(np.uint64(1), np.arange(len(opens), dtype=np.uint64))
+    order = np.argsort(level[child])
+    parent, child = parent[order], child[order]
+    cut = np.searchsorted(level[child], np.arange(1, level.max() + 2))
+    for lo, hi in zip(cut[:-1], cut[1:]):
+        np.bitwise_or.at(code, child[lo:hi], code[parent[lo:hi]])
     flips = code[ea] ^ code[eb]
     if (np.bitwise_count(flips) != 1).any():
         return None
@@ -231,13 +226,23 @@ def _one_word_codes(graph, edges) -> tuple[WallCodes, np.ndarray] | None:
     step = max(1, _BLOCK_WORDS // n)
     for lo in range(0, n, step):
         apart = code[lo:lo + step, None] ^ code
-        stuck = (apart & toward) == 0
+        dist[lo:lo + step] = np.bitwise_count(apart)
+        apart &= toward  # in place: a second block would cost page faults
+        stuck = apart == 0
         stuck[np.arange(len(apart)), np.arange(lo, lo + len(apart))] = False
         if stuck.any():
             return None
-        dist[lo:lo + step] = np.bitwise_count(apart)
-    edge_wall = np.bitwise_count(flips - np.uint64(1)).astype(np.intp)
-    return WallCodes(code[None, :], edge_wall, len(plus_sides)), dist
+    # walls in order of their first dual edge, plus side on its larger end
+    bit = np.bitwise_count(flips - np.uint64(1)).astype(np.intp)
+    _, lead = np.unique(bit, return_index=True)
+    by_edge = np.argsort(lead)
+    sides = np.unpackbits(code.astype("<u8").view(np.uint8).reshape(n, 8), axis=1, bitorder="little")[:, by_edge]
+    plus = sides == sides[eb[lead[by_edge]], np.arange(len(lead))]
+    raw = np.zeros((n, 8), dtype=np.uint8)
+    raw[:, :(len(lead) + 7) // 8] = np.packbits(plus, axis=1, bitorder="little")
+    wall_of = np.empty_like(by_edge)
+    wall_of[by_edge] = np.arange(len(by_edge))
+    return WallCodes(np.ascontiguousarray(raw.view("<u8").T), wall_of[bit], len(lead)), dist
 
 
 def _distinct(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -337,9 +342,11 @@ class VertexSet:
 class MedianGraph:
     """Connected simple graph with cached BFS distances.
 
-    The constructor checks shape (ids in range, no loops, symmetry,
-    connectivity) but not the median property itself; run
-    harness_cli.is_median_graph on untrusted input.
+    ``edges`` holds vertex pairs, as a sequence or an (m, 2) array.
+    ``edge_array`` holds them as sorted distinct rows (u, v), u < v, and
+    ``edges`` as int tuples.  The constructor checks shape (ids in
+    range, no loops, connectivity) but not the median property itself;
+    run harness_cli.is_median_graph on untrusted input.
     """
 
     def __init__(self, vertex_count: int, edges):
@@ -350,24 +357,23 @@ class MedianGraph:
             raise BudgetExceeded(
                 f"distance table disabled above {VERTEX_LIMIT} vertices", n=self.n
             )
-        seen = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            seen.add((min(u, v), max(u, v)))
-        if len(seen) < self.n - 1:
-            # before the n adjacency lists a bare header would allocate
+        try:
+            given = np.asarray(edges, dtype=np.int64)
+        except OverflowError:  # an id past int64 is out of range
+            given = np.array(edges, dtype=object)
+        if given.size and given.shape[-1:] != (2,):
+            raise ValueError("edges must be vertex pairs")
+        given = given.reshape(-1, 2)
+        a, b = given.T
+        bad = np.flatnonzero((a == b) | (a < 0) | (a >= self.n) | (b < 0) | (b >= self.n))
+        if len(bad):
+            u, v = (int(x) for x in given[bad[0]])
+            raise ValueError(f"loop at vertex {u}" if u == v else f"edge ({u},{v}) out of range")
+        key = np.unique(np.minimum(a, b).astype(np.intp) * self.n + np.maximum(a, b))
+        if len(key) < self.n - 1:
             raise ValueError("graph is not connected")
-        self.edges: list[tuple[int, int]] = sorted(seen)
-        self.adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            self.adj[u].append(v)
-            self.adj[v].append(u)
-        for nbrs in self.adj:
-            nbrs.sort()
+        self.edge_array = np.stack([key // self.n, key % self.n], axis=1)
+        self.edges: list[tuple[int, int]] = list(zip(*self.edge_array.T.tolist()))
         self._codes: WallCodes | bool | None = None  # False: not a partial cube
         self.dist = self._all_pairs()
         self._interval_cache: dict[tuple[int, int], int] = {}
@@ -376,43 +382,33 @@ class MedianGraph:
         self._hyperplanes = None  # filled by cube_complex
         self._rank: int | None = None
 
+    @functools.cached_property
+    def adj(self) -> list[list[int]]:
+        """Sorted neighbour lists, built on first use."""
+        src, dst = np.r_[self.edge_array, self.edge_array[:, ::-1]].T
+        dst = dst[np.lexsort((dst, src))]
+        return [nbrs.tolist() for nbrs in np.split(dst, np.cumsum(np.bincount(src, minlength=self.n))[:-1])]
+
     def _all_pairs(self) -> np.ndarray:
         """The distance table; the wall codes too when they come with it."""
-        if not self.edges:
-            return np.zeros((1, 1), dtype=np.int32)
-        if self.n <= 64:
-            # scipy's sparse machinery costs more than the walk itself here
-            dist = np.full((self.n, self.n), -1, dtype=np.int32)
-            for s in range(self.n):
-                row = dist[s]
-                row[s] = 0
-                frontier = [s]
-                d = 0
-                while frontier:
-                    d += 1
-                    nxt = []
-                    for u in frontier:
-                        for v in self.adj[u]:
-                            if row[v] < 0:
-                                row[v] = d
-                                nxt.append(v)
-                    frontier = nxt
-            if dist.min() < 0:
-                raise ValueError("graph is not connected")
-            return dist
-        rows = [u for u, v in self.edges] + [v for u, v in self.edges]
-        cols = [v for u, v in self.edges] + [u for u, v in self.edges]
+        ends = self.edge_array
+        src, dst = ends.T.ravel(), ends[:, ::-1].T.ravel()
+        row_ends = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=self.n))])
         # float64 weights, the type scipy's searches take without a copy
-        g = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(self.n, self.n))
-        ncomp, _ = connected_components(g, directed=False)
-        if ncomp != 1:
+        g = csr_matrix((np.ones(len(src)), dst[np.argsort(src)], row_ends), shape=(self.n, self.n))
+        level = dijkstra(g, unweighted=True, indices=0)
+        if np.isinf(level).any():
             raise ValueError("graph is not connected")
-        found = _one_word_codes(g, self.edges)
+        found = _single_search_codes(ends, level.astype(np.intp))
         if found is not None:
             self._codes, dist = found
             return dist
-        d = dijkstra(g, unweighted=True)
-        return d.astype(np.int32)
+        # row blocks: scipy's float64 rows are never all held at once
+        dist = np.empty((self.n, self.n), dtype=np.int32)
+        step = max(1, _BLOCK_WORDS // self.n)
+        for lo in range(0, self.n, step):
+            dist[lo:lo + step] = dijkstra(g, unweighted=True, indices=np.arange(lo, min(self.n, lo + step)))
+        return dist
 
     def distance(self, x: int, y: int) -> int:
         # a negative id would wrap around the numpy index
@@ -478,7 +474,7 @@ class MedianGraph:
         """Sign codes of the walls, or None when the graph is not a
         partial cube (and so not median)."""
         if self._codes is None:
-            self._codes = _wall_codes(self.dist, self.edges) or False
+            self._codes = _wall_codes(self.dist, self.edge_array) or False
         return self._codes or None
 
     def _majority_blocks(self, codes: WallCodes):

@@ -117,6 +117,82 @@ def test_graph_text_parsing_details():
         parse_graph_text("vertices 2\nedge 0 1\n")
 
 
+def _outcome(build):
+    """("graph", n, edges) or ("error", message) of one graph build."""
+    try:
+        g = build()
+    except ValueError as exc:
+        return "error", str(exc)
+    return "graph", g.n, g.edges
+
+
+PATH3 = ("graph", 3, [(0, 1), (1, 2)])
+
+# name -> (file text, whether the bulk reader takes it, outcome)
+GRAPH_FILES = {
+    "duplicate after comments": (
+        "# a path\n# with a repeat\nvertices 3\n\ne 0 1\n# mid\ne 1 2\ne 1 0  # again\n", True,
+        ("error", "line 8: duplicate edge (0, 1)")),
+    "two repeats": ("vertices 3\ne 0 1\ne 1 2\ne 2 1\ne 1 0\ne 0 1\n", True,
+                    ("error", "line 4: duplicate edge (1, 2)")),
+    "three ids": ("vertices 3\ne 0 1\ne 1 2 3\n", False, ("error", "line 3: cannot parse 'e 1 2 3'")),
+    "tab separators": ("vertices 3\ne\t0\t1\ne\t2\t1\n", True, PATH3),
+    "trailing comments": ("vertices 3\ne 0 1 # first\ne 2 1#second\n", True, PATH3),
+    "header last": ("e 0 1\ne 1 2\nvertices 3\n", True, PATH3),
+    "no header": ("e 0 1\n", True, ("error", "missing 'vertices N' header")),
+    "negative id": ("vertices 3\ne 0 1\ne 1 -1\ne 1 2\n", True, ("error", "edge (1,-1) out of range")),
+    "huge id": ("vertices 3\ne 0 1\ne 1 99999999999999999999\ne 1 2\n", False,
+                ("error", "edge (1,99999999999999999999) out of range")),
+    "loop": ("vertices 3\ne 0 1\ne 2 2\ne 1 2\n", True, ("error", "loop at vertex 2")),
+    # the first bad edge in input order, and a repeat before either
+    "loop before out of range": ("vertices 3\ne 0 1\ne 2 2\ne 1 5\n", True, ("error", "loop at vertex 2")),
+    "out of range before loop": ("vertices 3\ne 0 1\ne 1 5\ne 2 2\n", True,
+                                 ("error", "edge (1,5) out of range")),
+    "duplicate before loop": ("vertices 3\ne 0 1\ne 2 2\ne 1 0\n", True,
+                              ("error", "line 4: duplicate edge (0, 1)")),
+    "bad line before duplicate": ("vertices 3\ne 0 1\nedge 1 2\ne 1 0\n", False,
+                                  ("error", "line 3: cannot parse 'edge 1 2'")),
+    "duplicate before bad header": ("e 0 1\ne 1 0\nvertices three\n", False,
+                                    ("error", "line 2: duplicate edge (0, 1)")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_FILES))
+def test_bulk_and_line_readers_agree(name, monkeypatch):
+    text, bulk, want = GRAPH_FILES[name]
+    lines = text.splitlines()
+    assert _outcome(lambda: parse_graph_text(text)) == want
+    try:
+        read = harness_cli._read_graph_bulk(lines)
+    except ValueError as exc:  # the bulk reader names a repeated edge
+        read = str(exc)
+    assert (read is not None) == bulk
+    if isinstance(read, tuple):
+        n, edges = harness_cli._read_graph_lines(lines)
+        assert read[0] == n and read[1].tolist() == [list(e) for e in edges]
+    monkeypatch.setattr(harness_cli, "_read_graph_bulk", lambda lines: None)
+    assert _outcome(lambda: parse_graph_text(text)) == want
+
+
+def test_graph_from_list_and_array_agree():
+    cases = [
+        (4, [(3, 2), (0, 1), (2, 1), (1, 0), (2, 3)]),  # unsorted, reversed, repeated
+        (1, []),
+        (3, [(0, 1), (2, 2), (1, 7)]),
+        (3, [(0, 1), (1, -4), (2, 2)]),
+        (4, [(0, 1), (2, 3), (1, 0)]),  # disconnected
+        (0, [(0, 1)]),
+    ]
+    for n, edges in cases:
+        want = _outcome(lambda: MedianGraph(n, edges))
+        got = _outcome(lambda: MedianGraph(n, np.array(edges, dtype=np.int64).reshape(-1, 2)))
+        assert got == want, (n, edges)
+    g = MedianGraph(4, [(3, 2), (0, 1), (2, 1), (1, 0), (2, 3)])
+    assert g.edges == [(0, 1), (1, 2), (2, 3)]
+    assert g.edge_array.tolist() == [[0, 1], [1, 2], [2, 3]]
+    assert g.adj == [[1], [0, 2], [1, 3], [2]]
+
+
 def test_instance_text_roundtrip():
     inst = coarsened_grid(1, 1)
     text = write_instance_text(inst)

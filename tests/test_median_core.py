@@ -1,8 +1,11 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mediancert import median_core
 from mediancert.errors import (
@@ -467,11 +470,11 @@ def breadth_first_reference(g):
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
-    ends = np.array(g.edges).T
-    adj = csr_matrix((np.ones(2 * len(g.edges)), (np.r_[ends[0], ends[1]], np.r_[ends[1], ends[0]])),
+    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    adj = csr_matrix((np.ones(2 * len(ends)), (np.r_[ends[:, 0], ends[:, 1]], np.r_[ends[:, 1], ends[:, 0]])),
                      shape=(g.n, g.n))
     dist = dijkstra(adj, unweighted=True).astype(np.int32)
-    return dist, median_core._wall_codes(dist, g.edges)
+    return dist, median_core._wall_codes(dist, ends)
 
 
 def grid_edges(w, h):
@@ -482,8 +485,10 @@ def grid_edges(w, h):
     ("grid 9x9", 100, grid_edges(9, 9), True),
     ("grid 1x40", 82, grid_edges(1, 40), True),
     ("hypercube 7", 128, generate("hypercube", [7]).edges, True),
-    ("cycle 66", 66, [(i, (i + 1) % 66) for i in range(66)], True),
-    ("cycle 100", 100, [(i, (i + 1) % 100) for i in range(100)], True),
+    # partial cubes that are not median: a vertex with one parent opens
+    # a wall of its own on both halves, and the check refuses the codes
+    ("cycle 66", 66, [(i, (i + 1) % 66) for i in range(66)], False),
+    ("cycle 100", 100, [(i, (i + 1) % 100) for i in range(100)], False),
     # an odd cycle is no partial cube; 100 walls on a longer even one
     ("cycle 65", 65, [(i, (i + 1) % 65) for i in range(65)], False),
     ("cycle 200", 200, [(i, (i + 1) % 200) for i in range(200)], False),
@@ -500,7 +505,8 @@ def test_one_word_codes_match_breadth_first_search(label, n, edges, one_word):
     g = MedianGraph(n, edges)
     dist, codes = breadth_first_reference(g)
     assert np.array_equal(g.dist, dist)
-    # the codes are found with the table exactly when they fit one word
+    # the single search gives the codes with the table on the median
+    # graphs of at most 64 walls; every other graph here falls back
     assert (g._codes is not None) == one_word
     got = g.wall_codes()
     assert (got is None) == (codes is None)
@@ -508,3 +514,96 @@ def test_one_word_codes_match_breadth_first_search(label, n, edges, one_word):
         assert np.array_equal(got.planes, codes.planes)
         assert np.array_equal(got.edge_wall, codes.edge_wall)
         assert got.count == codes.count
+
+
+SETTINGS = settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def one_word_median_graphs(draw):
+    """Median graphs of at most 64 walls, many of them of at most 64
+    vertices, with their vertices relabelled at random (the generators
+    number vertices roughly outward from 0)."""
+    kind = draw(st.sampled_from(["grid", "hypercube", "staircase", "tree", "closure"]))
+    if kind == "grid":
+        g = generate("grid", [draw(st.integers(0, 20)), draw(st.integers(0, 20))])
+    elif kind == "hypercube":
+        g = generate("hypercube", [draw(st.integers(0, 7))])
+    elif kind == "staircase":
+        g = generate("staircase", [draw(st.integers(1, 32))])
+    elif kind == "tree":
+        n = draw(st.integers(1, 65))
+        parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+        g = MedianGraph(n, [(p, v) for v, p in enumerate(parents, 1)])
+    else:
+        k, dim = draw(st.integers(2, 6)), draw(st.integers(2, 8))
+        g = generate("median-closure", [k, dim], seed=draw(st.integers(0, 10**6)))
+    label = draw(st.permutations(range(g.n)))
+    return MedianGraph(g.n, [(label[u], label[v]) for u, v in g.edges])
+
+
+@st.composite
+def graphs_without_gates(draw):
+    """Odd cycles, even cycles from 6 on, and grids with one chord: a
+    triangle across a square, or a bipartite chord three steps long."""
+    kind = draw(st.sampled_from(["odd cycle", "even cycle", "grid + chord"]))
+    if kind != "grid + chord":
+        n = 2 * draw(st.integers(3, 50)) + (kind == "odd cycle")
+        return MedianGraph(n, [(i, (i + 1) % n) for i in range(n)])
+    grid = generate("grid", [draw(st.integers(1, 8)), draw(st.integers(3, 8))])
+    u = draw(st.integers(0, grid.n - 1))
+    far = np.flatnonzero(np.isin(grid.dist[u], [2, 3]))
+    v = int(draw(st.sampled_from(far.tolist())))
+    return MedianGraph(grid.n, grid.edges + [(u, v)])
+
+
+def assert_codes_equal(got, want):
+    assert got.planes.dtype == want.planes.dtype and got.planes.tobytes() == want.planes.tobytes()
+    assert got.edge_wall.dtype == want.edge_wall.dtype
+    assert np.array_equal(got.edge_wall, want.edge_wall)
+    assert got.count == want.count
+
+
+@SETTINGS
+@given(g=one_word_median_graphs())
+def test_single_search_matches_breadth_first_search(g):
+    dist, codes = breadth_first_reference(g)
+    assert g._codes is not None  # from the single search, not the fallback
+    assert g.dist.dtype == dist.dtype and np.array_equal(g.dist, dist)
+    assert_codes_equal(g.wall_codes(), codes)
+
+
+@SETTINGS
+@given(g=graphs_without_gates())
+def test_single_search_falls_back_without_gates(g):
+    dist, codes = breadth_first_reference(g)
+    if codes is None or g.n % 2 == 0 and len(g.edges) == g.n:
+        # no partial cube, or an even cycle: some wall's far side has
+        # two vertices nearest 0, and the check refuses the codes
+        assert g._codes is None
+    assert g.dist.dtype == dist.dtype and np.array_equal(g.dist, dist)
+    got = g.wall_codes()
+    assert (got is None) == (codes is None)
+    if codes is not None:
+        assert_codes_equal(got, codes)
+
+
+def test_fallback_table_fills_in_row_blocks():
+    # 1024 leaves, each a wall of its own: the all-pairs search.  The
+    # int32 table takes 16 MiB; scipy's float64 rows for every source at
+    # once would add 32 MiB more.
+    tracemalloc.start()
+    try:
+        g = generate("tree", [2, 10])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g._codes is None
+    assert peak < 32 * 2**20, peak
+    assert g.dist.dtype == np.int32 and g.dist[0].max() == 10 and g.dist.max() == 20
+    assert np.array_equal(g.dist[1000], breadth_first_reference(g)[0][1000])
