@@ -665,11 +665,16 @@ def coarsened_grid(w: int, h: int) -> CoarseMedianInstance:
     """Keep the even-coordinate-sum points of a (2w+1) x (2h+1) grid
     with the restricted grid metric; the operation is the ambient grid
     median pushed to the nearest kept point, ties toward lower
-    coordinates.  Rounding makes the defects genuinely nonzero."""
+    coordinates.  Rounding makes the defects genuinely nonzero.  Refused
+    above INSTANCE_LIMIT points from w and h, before any table is built."""
     cols, rows = 2 * w + 1, 2 * h + 1
+    n = (max(cols, 0) * max(rows, 0) + 1) // 2
+    if n > INSTANCE_LIMIT:
+        raise BudgetExceeded(
+            f"instance above {INSTANCE_LIMIT} points", n=n if n < 1 << 64 else "2^64 or more"
+        )
     coords = [(i, j) for i in range(cols) for j in range(rows) if (i + j) % 2 == 0]
     index = {c: p for p, c in enumerate(coords)}
-    n = len(coords)
 
     def nearest_kept(i: int, j: int) -> int:
         if (i + j) % 2 == 0:

@@ -161,8 +161,8 @@ def _closure_graph(n_pts: int, d: int, seed: int, cap: int = 4096) -> MedianGrap
         ]
         try:
             g = MedianGraph(len(closure), edges)
-            g.median_table()
-        except (ValueError, MedianViolation, BudgetExceeded):
+            g.verify_medians()
+        except (ValueError, MedianViolation):
             continue
         return g
     raise BudgetExceeded(
@@ -209,10 +209,41 @@ def is_median_graph(g: MedianGraph):
 # -- file formats ------------------------------------------------------
 
 
+# rows per block of _write_tagged: about 1 MiB of text for "m" lines
+_WRITE_ROWS = 1 << 16
+
+
+def _write_tagged(tag: str, rows: np.ndarray) -> str:
+    """The lines "tag r0 r1 ...\n" of a (k, width) array of non-negative
+    ints, byte for byte what an f-string per line writes; the writing
+    counterpart of _read_tagged.  Each value indexes a table of digit
+    tokens, padded in front with zero bytes to one length and ending in a
+    space.  A block of rows is one gather per column into a uint8 array,
+    whose last byte per line becomes the newline; the pad bytes are then
+    deleted."""
+    if not len(rows):
+        return ""
+    top = int(rows.max())
+    size = len(str(top)) + 1
+    table = "".join(str(v).rjust(size - 1, "\0") + " " for v in range(top + 1))
+    tokens = np.frombuffer(table.encode(), dtype=np.dtype((np.void, size)))
+    head = f"{tag} ".encode()
+    width = rows.shape[1]
+    out = []
+    for lo in range(0, len(rows), _WRITE_ROWS):
+        part = rows[lo:lo + _WRITE_ROWS]
+        block = np.empty((len(part), len(head) + width * size), dtype=np.uint8)
+        block[:, :len(head)] = np.frombuffer(head, dtype=np.uint8)
+        cells = block[:, len(head):].view(tokens.dtype)
+        for c in range(width):
+            np.take(tokens, part[:, c], out=cells[:, c])
+        block[:, -1] = ord("\n")
+        out.append(block.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(out)
+
+
 def write_graph_text(g: MedianGraph) -> str:
-    lines = [f"vertices {g.n}"]
-    lines.extend(f"e {u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+    return f"vertices {g.n}\n" + _write_tagged("e", g.edge_array)
 
 
 def _read_graph_lines(lines: list[str]) -> tuple[int | None, list[tuple[int, int]]]:
@@ -298,12 +329,11 @@ def write_instance_text(inst: CoarseMedianInstance) -> str:
             val = str(v.numerator) if v.denominator == 1 else _frac_str(v)
             out.write(f"d {i} {j} {val}\n")
     out.write("mu explicit\n")
-    mu = inst.mu
-    for i in range(inst.n):
-        for j in range(inst.n):
-            row = mu[i, j]
-            for k in range(inst.n):
-                out.write(f"m {i} {j} {k} {int(row[k])}\n")
+    # rows (i, j, k, mu[i, j, k]) in C order, in the smallest dtype that
+    # holds a point id
+    ids = np.min_scalar_type(inst.n - 1)
+    ijk = np.indices(inst.mu.shape, dtype=ids).reshape(3, -1)
+    out.write(_write_tagged("m", np.column_stack([*ijk, inst.mu.ravel().astype(ids)])))
     return out.getvalue()
 
 

@@ -218,19 +218,34 @@ def test_unparseable_argv_ends_in_one_error(files, argv):
     (["tree", "2", "13"], 2**14 - 1),
     (["tree", "1", "9000"], 9001),
     (["tree", "7", "1000000000000"], "2^64 or more"),
+    (["coarse-grid", "8", "9"], 162),
+    (["coarse-grid", "9", "9"], 181),
+    (["coarse-grid", "20", "20"], 841),
+    (["coarse-grid", "100000000000", "1"], 300_000_000_002),
+    (["coarse-grid", "10000000000000000000", "1"], "2^64 or more"),
 ])
 def test_oversized_generator_refused_before_building(params, n):
-    # the vertex count comes from the parameters, before any edge list
+    # the vertex count, or an instance's ((2w+1)(2h+1)+1)//2 points, comes
+    # from the parameters, before any edge list or n^3 table
     tracemalloc.start()
     try:
         payload = run_contract(["gen", *params])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert payload == {
-        "error": "budget", "message": f"distance table disabled above {VERTEX_LIMIT} vertices", "n": n,
-    }
+    message = (
+        "instance above 160 points" if params[0] == "coarse-grid"
+        else f"distance table disabled above {VERTEX_LIMIT} vertices"
+    )
+    assert payload == {"error": "budget", "message": message, "n": n}
     assert peak < 4 * 2**20
+
+
+def test_coarse_grid_at_145_points_writes(tmp_path):
+    out = tmp_path / "c88.inst"
+    assert main(["gen", "coarse-grid", "8", "8", "--output", str(out)]) == 0
+    with open(out) as fh:
+        assert fh.readline() == "points 145\n"
 
 
 def test_closure_sample_above_cap_refused_before_sampling():

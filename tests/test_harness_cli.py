@@ -1,10 +1,19 @@
 import contextlib
+import hashlib
+import importlib.util
 import io
+import itertools
 import json
 import os
+import sys
+import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mediancert import harness_cli
 from mediancert.coarse_median import (
@@ -84,6 +93,14 @@ def test_closure_generator_is_median():
     a = generate("median-closure", [4, 5], seed=1)
     b = generate("median-closure", [4, 5], seed=1)
     assert a.n == b.n and a.edges == b.edges
+
+
+def test_closure_generator_keeps_closures_above_table_limit():
+    # the 264-point closure of the first draw, no longer thrown away for
+    # exceeding the 256-vertex median table
+    g = generate("median-closure", [9, 10], seed=1)
+    assert g.n == 264
+    assert is_median_graph(g) == (True, None)
 
 
 def test_is_median_graph_witnesses(c6, k23):
@@ -222,6 +239,144 @@ def test_instance_from_graph_sections(grid3):
         parse_instance_text(
             "points 3\nmetric explicit\nd 0 1 1\nd 0 2 1\n", graph=None
         )
+
+
+# -- bulk writers against the former per-line writers ---------------------
+
+
+def _graph_text_per_line(g: MedianGraph) -> str:
+    lines = [f"vertices {g.n}"]
+    lines.extend(f"e {u} {v}" for u, v in g.edges)
+    return "\n".join(lines) + "\n"
+
+
+def _instance_text_per_line(inst: CoarseMedianInstance) -> str:
+    out = io.StringIO()
+    out.write(f"points {inst.n}\n")
+    out.write(f"rank {inst.d}\n")
+    out.write("metric explicit\n")
+    for i in range(inst.n):
+        for j in range(i + 1, inst.n):
+            v = Fraction(inst.rho(i, j))
+            val = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+            out.write(f"d {i} {j} {val}\n")
+    out.write("mu explicit\n")
+    mu = inst.mu
+    for i in range(inst.n):
+        for j in range(inst.n):
+            row = mu[i, j]
+            for k in range(inst.n):
+                out.write(f"m {i} {j} {k} {int(row[k])}\n")
+    return out.getvalue()
+
+
+def _first_difference(got: str, want: str):
+    """None for equal texts, else the first line where they differ: a
+    failing comparison of two files of millions of lines stays short."""
+    if got == want:
+        return None
+    pairs = itertools.zip_longest(got.splitlines(True), want.splitlines(True))
+    return next((no, a, b) for no, (a, b) in enumerate(pairs, 1) if a != b)
+
+
+# n = 1 to 41 (one-, two-digit ids, one block and two) and n = 145 (three
+# digits, 46 blocks); c33, c44 and c77 are pinned by digest below
+COARSE_GRIDS = [(w, h) for w in range(9) for h in range(9 - w)] + [(8, 8)]
+
+
+@pytest.mark.parametrize("w, h", COARSE_GRIDS)
+def test_instance_writer_matches_per_line(w, h):
+    inst = coarsened_grid(w, h)
+    assert _first_difference(write_instance_text(inst), _instance_text_per_line(inst)) is None
+
+
+def test_instance_writer_matches_per_line_on_fractions_and_graphs(grid3, q3, tree23, stair3):
+    g = generate("grid", [2, 3])
+    base = from_median_graph(g)
+    halves = [[Fraction(3 * v, 2) for v in row] for row in g.dist.tolist()]
+    cases = [CoarseMedianInstance(halves, base.mu, d=2)]
+    cases += [from_median_graph(x) for x in (grid3, q3, tree23, stair3, g)]
+    for inst in cases:
+        assert _first_difference(write_instance_text(inst), _instance_text_per_line(inst)) is None
+
+
+@st.composite
+def _operation_tables(draw):
+    n = draw(st.integers(1, 9))
+    mu = draw(st.lists(st.integers(0, n - 1), min_size=n ** 3, max_size=n ** 3))
+    scale = draw(st.sampled_from([Fraction(1), Fraction(7, 3)]))
+    dist = [[scale * abs(i - j) for j in range(n)] for i in range(n)]
+    return CoarseMedianInstance(dist, np.array(mu).reshape(n, n, n), d=draw(st.integers(0, 3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_operation_tables())
+def test_instance_writer_matches_per_line_on_drawn_tables(inst):
+    assert _first_difference(write_instance_text(inst), _instance_text_per_line(inst)) is None
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("hypercube", [0]), ("hypercube", [10]), ("grid", [0, 0]), ("grid", [3, 5]),
+    ("grid", [29, 29]), ("tree", [3, 6]), ("staircase", [7]), ("staircase", [400]),
+    ("median-closure", [5, 7]),
+])
+def test_graph_writer_matches_per_line(kind, params):
+    g = generate(kind, params)
+    assert _first_difference(write_graph_text(g), _graph_text_per_line(g)) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda width: st.lists(
+    st.lists(st.integers(0, 20_000), min_size=width, max_size=width), max_size=40,
+)))
+def test_write_tagged_matches_f_strings(rows):
+    want = "".join(f"x {' '.join(map(str, row))}\n" for row in rows)
+    width = len(rows[0]) if rows else 3
+    assert harness_cli._write_tagged("x", np.array(rows, dtype=np.int64).reshape(-1, width)) == want
+
+
+def test_instance_writer_memory_stays_bounded():
+    inst = coarsened_grid(7, 7)
+    tracemalloc.start()
+    try:
+        write_instance_text(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2**20
+
+
+# sha256 of every file the benchmark's set-up writes at full scale, as
+# the per-line writers wrote them
+BENCH_INPUTS = {
+    "g9.graph": "8040bd62a023847cb30f89fc233b9ff349fddd6c5e42d5bd0b912ca248a2e41c",
+    "g15.graph": "aa4b9b6c860563d1b57dca5e0df7b4afb9d045cc60501fc410c6e20309c27fb6",
+    "g29.graph": "d447c5b808f4be082bb1db5ff2b54ac7cd9c10da6974721805fbc07a1752b154",
+    "h8.graph": "5f4ad4ac07166c6218158f3cf215c9502e6acf20f634f5f46ec7e89dfd67dd85",
+    "t27.graph": "7757246e54f37ac6aea6af9fd1f34653cd46c0728351999223a0e91677e41d96",
+    "g5.graph": "77e3e812039a648fa1bca6e8d2dfef14aac59024325340970f54b89a71e76dba",
+    "c77.inst": "c0d874c3923e9c7f85a10b532531071ca9c55489b933836caf7fe172fc86efd1",
+    "c44.inst": "3a077500e396f431828a7c01b92cc7fa3d4cf20b20b481633feedf530fe04497",
+    "c33.inst": "210536a2a039fcbb11553675610de07cd469c1bb86da090cb0c9f553ce07ba18",
+}
+
+
+def test_benchmark_inputs_are_pinned(tmp_path, monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    gens = {
+        s.file: s.gen
+        for name in workloads.WORKLOADS
+        for s in workloads.build(name, 0).inputs
+    }
+    assert set(gens) == set(BENCH_INPUTS)
+    monkeypatch.chdir(tmp_path)
+    for file, argv in gens.items():
+        assert run_cli(argv) == (0, "")
+        assert hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() == BENCH_INPUTS[file], file
 
 
 def _instance_lines(w=1, h=1):
