@@ -170,18 +170,31 @@ def _closure_graph(n_pts: int, d: int, seed: int, cap: int = 4096) -> MedianGrap
     )
 
 
-_PARAM_COUNT = {
-    "hypercube": 1, "grid": 2, "tree": 2, "staircase": 1,
-    "median-closure": 2, "coarse-grid": 2,
+_PARAM_NAMES = {
+    "hypercube": ("d",), "grid": ("w", "h"), "tree": ("branching", "depth"),
+    "staircase": ("n",), "median-closure": ("k", "d"), "coarse-grid": ("w", "h"),
 }
+
+
+def _generator_params(kind: str, params) -> list[int]:
+    """The parameters of a generator kind as ints; ValueError on a wrong
+    count, or naming the first negative one."""
+    p = [int(v) for v in params]
+    names = _PARAM_NAMES[kind]
+    if len(p) != len(names):
+        raise ValueError(f"{kind} takes {len(names)} parameter(s)")
+    for name, v in zip(names, p):
+        if v < 0:
+            raise ValueError(f"{kind} parameter {name} must be non-negative, got {v}")
+    return p
 
 
 def generate(kind: str, params, seed: int = 0) -> MedianGraph:
     """Deterministic generator for the five graph kinds; only
     median-closure consumes the seed."""
-    p = [int(v) for v in params]
-    if kind in _PARAM_COUNT and len(p) != _PARAM_COUNT[kind]:
-        raise ValueError(f"{kind} takes {_PARAM_COUNT[kind]} parameter(s)")
+    if kind not in GRAPH_KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    p = _generator_params(kind, params)
     if kind == "hypercube":
         return _hypercube(p[0])
     if kind == "grid":
@@ -190,9 +203,7 @@ def generate(kind: str, params, seed: int = 0) -> MedianGraph:
         return _tree(p[0], p[1])
     if kind == "staircase":
         return _staircase(p[0])
-    if kind == "median-closure":
-        return _closure_graph(p[0], p[1], seed)
-    raise ValueError(f"unknown kind {kind!r}")
+    return _closure_graph(p[0], p[1], seed)
 
 
 def is_median_graph(g: MedianGraph):
@@ -555,9 +566,7 @@ def _as_instance(obj) -> CoarseMedianInstance:
 
 def cmd_gen(cfg: RunConfig) -> int:
     if cfg.kind == "coarse-grid":
-        if len(cfg.params) != 2:
-            raise ValueError("coarse-grid takes 2 parameter(s)")
-        inst = coarsened_grid(cfg.params[0], cfg.params[1])
+        inst = coarsened_grid(*_generator_params(cfg.kind, cfg.params))
         _emit(cfg, write_instance_text(inst))
         return 0
     g = generate(cfg.kind, cfg.params, cfg.seed)

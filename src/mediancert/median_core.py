@@ -10,10 +10,12 @@ In a median graph each wall's far side from vertex 0 is convex, so
 gated: its vertex nearest 0 has one parent (neighbour nearer 0), across
 the wall, and its other vertices each have a parent on that side.  So in
 one breadth-first search from 0, a vertex with one parent opens a wall
-and any other takes the OR of its parents' codes (below).  An exact
-check makes this safe on any input; a graph it refuses, or one of more
-than 64 walls, gets a search from every vertex.  Vertex sets are
-fixed-width bitsets for word-parallel interval and hull arithmetic.
+and any other takes the OR of its parents' codes (below), at any number
+of walls, and the table follows from the codes.  An exact check makes
+this safe on any input; a graph it refuses (a partial cube that is not
+median, or no partial cube) gets a search from every vertex.  Vertex
+sets are fixed-width bitsets for word-parallel interval and hull
+arithmetic.
 
 Walls and medians come from sign codes.  Each edge (a, b) splits the
 vertices into those closer to a and those closer to b; the distinct
@@ -31,9 +33,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import BudgetExceeded, MedianViolation, NotFound, ReductionFailure
@@ -43,7 +46,8 @@ from .errors import BudgetExceeded, MedianViolation, NotFound, ReductionFailure
 TABLE_LIMIT = 256
 
 # Every graph keeps an n x n int32 distance table: 256 MiB at this many
-# vertices (searches fill it through float64 blocks of _BLOCK_WORDS).
+# vertices (the all-pairs search fills it through float64 blocks of
+# _BLOCK_WORDS).
 # Larger graphs are refused before any n x n allocation.
 VERTEX_LIMIT = 8192
 
@@ -102,13 +106,21 @@ class WallCodes:
     kept.  Every hit is compared word by word, so the hash can cost time
     but never a wrong vertex."""
 
-    __slots__ = ("planes", "edge_wall", "count", "_mult", "_shift", "_slots")
+    __slots__ = ("planes", "edge_wall", "count", "_halves", "_mult", "_shift", "_slots")
 
     def __init__(self, planes: np.ndarray, edge_wall: np.ndarray, count: int):
         self.planes = planes
         self.edge_wall = edge_wall
         self.count = count
+        self._halves = None
         self._slots = None
+
+    def halves(self) -> np.ndarray:
+        """uint64 array (count, ceil(n/64)): row w is the plus side of
+        wall w as a vertex bitset (bit v % 64 of word v // 64)."""
+        if self._halves is None:
+            self._halves = _transpose_bits(np.ascontiguousarray(self.planes.T), self.count)
+        return self._halves
 
     def _build_slots(self) -> None:
         n = self.planes.shape[1]
@@ -155,6 +167,41 @@ class WallCodes:
         return np.unpackbits(raw, axis=1, count=self.count, bitorder="little").astype(bool)
 
 
+def _transpose_bits(rows: np.ndarray, cols: int) -> np.ndarray:
+    """The bit matrix of ``rows`` transposed.  Row r of ``rows`` holds
+    bits 0..cols-1 in uint64 words (bit c is bit c % 64 of word c // 64);
+    row c of the result holds bit c of every row, in at least one word."""
+    out = np.zeros((cols, 8 * max(1, -(-len(rows) // 64))), dtype=np.uint8)
+    raw = rows.view(np.uint8)
+    step = max(64, _BLOCK_WORDS // max(1, cols) // 64 * 64)
+    for lo in range(0, len(rows), step):
+        bits = np.unpackbits(raw[lo:lo + step], axis=1, count=cols, bitorder="little")
+        # whole words of bits: packbits is slow on a partial byte
+        flipped = np.zeros((cols, -(-len(bits) // 64) * 64), dtype=np.uint8)
+        flipped[:, :len(bits)] = bits.T
+        out[:, lo // 8:lo // 8 + flipped.shape[1] // 8] = np.packbits(flipped, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
+def _all_bits(n: int) -> np.ndarray:
+    """uint64 words with bits 0..n-1 set: a bitset of every vertex."""
+    full = np.full(-(-n // 64), _MASK64, dtype=np.uint64)
+    full[-1] >>= np.uint64(-n % 64)
+    return full
+
+
+def _adjacency(ends: np.ndarray, n: int, dtype) -> csr_array:
+    """The adjacency matrix of the edges (u, v) in ``ends``, both ways."""
+    src, dst = ends.T.ravel(), ends[:, ::-1].T.ravel()
+    row_ends = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+    return csr_array((np.ones(len(src), dtype=dtype), dst[np.argsort(src)], row_ends), shape=(n, n))
+
+
+def _bit_of(rows: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Bit c[k] of row r[k] of a bit matrix of uint64 words, as 0 or 1."""
+    return rows[r, c // 64] >> (c % 64).astype(np.uint64) & np.uint64(1)
+
+
 def _wall_codes(dist: np.ndarray, ends: np.ndarray) -> WallCodes | None:
     """Codes from one split per row of ``ends``, or None when their
     Hamming distances differ from ``dist`` somewhere (not a partial cube)."""
@@ -190,59 +237,109 @@ def _wall_codes(dist: np.ndarray, ends: np.ndarray) -> WallCodes | None:
 
 def _single_search_codes(ends: np.ndarray, level: np.ndarray) -> tuple[WallCodes, np.ndarray] | None:
     """Wall codes and distance table from the breadth-first ``level`` of
-    each vertex seen from 0, by the parent rule of the module docstring;
-    None when a check fails or there are more than 64 walls.  The
-    Hamming distance of the codes is the graph distance exactly when
-    every edge flips one bit and every vertex v has, for each u != v, an
-    edge flipping a bit in which the codes of u and v differ: the first
-    makes the code distance move by 1 along each edge, so it is at most
-    the graph distance, and the second gives a walk from v to u that
-    long.  Each bit is then one wall, put in _wall_codes's order."""
+    each vertex seen from 0, by the parent rule of the module docstring,
+    at any number of walls; None when a check fails.  The Hamming
+    distance of the codes is the graph distance exactly when every edge
+    flips one bit and every vertex v has, for each u != v, an edge at v
+    flipping a bit in which the codes of u and v differ: the first makes
+    the code distance move by 1 along each edge, so it is at most the
+    graph distance, and the second gives a walk from v to u that long.
+    Each bit is then one wall, put in _wall_codes's order.
+
+    Codes of one word give the table as their Hamming distances, and the
+    second check rides along each row block of it.  Wider codes take
+    that check packed: the far sides from v of the walls at v, as vertex
+    bitsets, must cover every vertex but v.  Their table is then filled
+    row by row in search order, without a words factor: a child c of p
+    across wall i has d(c, u) = d(p, u) + 1 - 2 [u on c's side of i]."""
     n = len(level)
     ea, eb = ends.T
-    # no edge within a level (an odd cycle), and no vertex more than 64
-    # steps away: no two vertices of a partial cube are more walls apart
-    if (level[ea] == level[eb]).any() or level.max() > 64:
+    # an edge within a level closes an odd cycle, and an n-vertex
+    # subgraph of a hypercube has at most (n/2) log2 n edges
+    if (level[ea] == level[eb]).any() or 2 * len(ends) > n * math.log2(n):
         return None
     down = level[ea] < level[eb]
     parent, child = np.where(down, ea, eb), np.where(down, eb, ea)
     opens = np.flatnonzero(np.bincount(child, minlength=n) == 1)
-    if len(opens) > 64:
-        return None
-    code = np.zeros(n, dtype=np.uint64)
-    code[opens] = np.left_shift(np.uint64(1), np.arange(len(opens), dtype=np.uint64))
+    count = len(opens)
+    words = max(1, -(-count // 64))
+    code = np.zeros((n, words), dtype=np.uint64)
+    flat = code.reshape(-1)  # one index per word: ufunc.at is fast only on one axis
+    bits = np.arange(count)
+    flat[opens * words + bits // 64] = np.left_shift(np.uint64(1), (bits % 64).astype(np.uint64))
     order = np.argsort(level[child])
     parent, child = parent[order], child[order]
-    cut = np.searchsorted(level[child], np.arange(1, level.max() + 2))
+    cut = np.searchsorted(level[child], np.arange(1, level.max() + 2)) * words
+    into = (child[:, None] * words + np.arange(words)).reshape(-1)
+    out_of = (parent[:, None] * words + np.arange(words)).reshape(-1)
     for lo, hi in zip(cut[:-1], cut[1:]):
-        np.bitwise_or.at(code, child[lo:hi], code[parent[lo:hi]])
+        np.bitwise_or.at(flat, into[lo:hi], flat[out_of[lo:hi]])
     flips = code[ea] ^ code[eb]
-    if (np.bitwise_count(flips) != 1).any():
+    if (np.bitwise_count(flips).sum(axis=1) != 1).any():
         return None
-    toward = np.zeros(n, dtype=np.uint64)
-    np.bitwise_or.at(toward, ea, flips)
-    np.bitwise_or.at(toward, eb, flips)
-    dist = np.empty((n, n), dtype=np.int32)
-    step = max(1, _BLOCK_WORDS // n)
-    for lo in range(0, n, step):
-        apart = code[lo:lo + step, None] ^ code
-        dist[lo:lo + step] = np.bitwise_count(apart)
-        apart &= toward  # in place: a second block would cost page faults
-        stuck = apart == 0
-        stuck[np.arange(len(apart)), np.arange(lo, lo + len(apart))] = False
-        if stuck.any():
-            return None
-    # walls in order of their first dual edge, plus side on its larger end
-    bit = np.bitwise_count(flips - np.uint64(1)).astype(np.intp)
-    _, lead = np.unique(bit, return_index=True)
+    pos = np.flatnonzero(flips)  # one word per edge
+    bit = pos % words * 64 + np.bitwise_count(flips.reshape(-1)[pos] - np.uint64(1))
+    # walls in order of their first dual edge, plus side on its larger
+    # end; every opener's bit flips on the edge to its one parent
+    lead = np.full(count, len(bit))
+    np.minimum.at(lead, bit, np.arange(len(bit)))
     by_edge = np.argsort(lead)
-    sides = np.unpackbits(code.astype("<u8").view(np.uint8).reshape(n, 8), axis=1, bitorder="little")[:, by_edge]
-    plus = sides == sides[eb[lead[by_edge]], np.arange(len(lead))]
-    raw = np.zeros((n, 8), dtype=np.uint8)
-    raw[:, :(len(lead) + 7) // 8] = np.packbits(plus, axis=1, bitorder="little")
     wall_of = np.empty_like(by_edge)
-    wall_of[by_edge] = np.arange(len(by_edge))
-    return WallCodes(np.ascontiguousarray(raw.view("<u8").T), wall_of[bit], len(lead)), dist
+    wall_of[by_edge] = np.arange(count)
+    edge_wall = wall_of[bit]
+    plus_bit = _bit_of(code, eb[lead[by_edge]], by_edge).astype(np.uint8)
+    raw = np.empty((n, 8 * words), dtype=np.uint8)
+    step = max(1, _BLOCK_WORDS // (64 * words))  # a byte per bit, three times
+    for lo in range(0, n, step):
+        sides = np.unpackbits(code[lo:lo + step].view(np.uint8), axis=1, bitorder="little")
+        plus = np.zeros_like(sides)  # whole bytes: packbits is slow on a partial one
+        np.equal(np.take(sides, by_edge, axis=1), plus_bit, out=plus[:, :count].view(bool))
+        raw[lo:lo + step] = np.packbits(plus, axis=1, bitorder="little")
+    codes = WallCodes(np.ascontiguousarray(raw.view("<u8").T), edge_wall, count)
+    dist = np.empty((n, n), dtype=np.int32)
+    if words == 1:
+        code, flips = code[:, 0], flips[:, 0]
+        toward = np.zeros(n, dtype=np.uint64)
+        np.bitwise_or.at(toward, ea, flips)
+        np.bitwise_or.at(toward, eb, flips)
+        step = max(1, _BLOCK_WORDS // n)
+        for lo in range(0, n, step):
+            apart = code[lo:lo + step, None] ^ code
+            dist[lo:lo + step] = np.bitwise_count(apart)
+            apart &= toward  # in place: a second block would cost page faults
+            if np.count_nonzero(apart) < apart.size - len(apart):  # zero off the diagonal
+                return None
+    else:
+        half, full = codes.halves(), _all_bits(n)
+        at, walls = np.concatenate([ea, eb]), np.concatenate([edge_wall, edge_wall])
+        b_plus = _bit_of(half, edge_wall, eb) == 1
+        far_plus = np.concatenate([b_plus, ~b_plus])
+        cover = np.zeros((n, len(full)), dtype=np.uint64)
+        step = max(1, _BLOCK_WORDS // len(full))
+        for lo in range(0, len(at), step):
+            far = half[walls[lo:lo + step]]
+            far[~far_plus[lo:lo + step]] ^= full
+            np.bitwise_or.at(cover, at[lo:lo + step], far)
+        if (np.bitwise_count(cover).sum(axis=1) != n - 1).any():
+            return None
+        # one parent edge per child, children in search order
+        _, first = np.unique(child, return_index=True)
+        first = first[np.argsort(level[child[first]], kind="stable")]
+        parent, child, wall = parent[first], child[first], edge_wall[order][first]
+        dist[0] = level
+        step = max(1, _BLOCK_WORDS // n)
+        cut = np.searchsorted(level[child], np.arange(1, level.max() + 2))
+        rows = np.empty((step, n), dtype=np.int32)  # one block of rows at a time
+        for lo, hi in zip(cut[:-1], cut[1:]):
+            for a in range(lo, hi, step):
+                c, i = child[a:min(hi, a + step)], wall[a:min(hi, a + step)]
+                far = half[i]
+                far[_bit_of(half, i, c) == 1] ^= full
+                block = np.take(dist, parent[a:a + len(c)], axis=0, out=rows[:len(c)], mode="clip")  # unbuffered
+                block += np.unpackbits(far.view(np.uint8), axis=1, count=n, bitorder="little") << 1
+                block -= 1
+                dist[c] = block
+    return codes, dist
 
 
 def _distinct(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -364,15 +461,16 @@ class MedianGraph:
         if given.size and given.shape[-1:] != (2,):
             raise ValueError("edges must be vertex pairs")
         given = given.reshape(-1, 2)
-        a, b = given.T
-        bad = np.flatnonzero((a == b) | (a < 0) | (a >= self.n) | (b < 0) | (b >= self.n))
+        lo, hi = np.minimum(*given.T), np.maximum(*given.T)
+        bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= self.n))
         if len(bad):
             u, v = (int(x) for x in given[bad[0]])
             raise ValueError(f"loop at vertex {u}" if u == v else f"edge ({u},{v}) out of range")
-        key = np.unique(np.minimum(a, b).astype(np.intp) * self.n + np.maximum(a, b))
+        key = np.sort(lo.astype(np.intp) * self.n + hi)
+        key = key[np.diff(key, prepend=-1) != 0]
         if len(key) < self.n - 1:
             raise ValueError("graph is not connected")
-        self.edge_array = np.stack([key // self.n, key % self.n], axis=1)
+        self.edge_array = np.stack(np.divmod(key, self.n), axis=1)
         self.edges: list[tuple[int, int]] = list(zip(*self.edge_array.T.tolist()))
         self._codes: WallCodes | bool | None = None  # False: not a partial cube
         self.dist = self._all_pairs()
@@ -391,15 +489,12 @@ class MedianGraph:
 
     def _all_pairs(self) -> np.ndarray:
         """The distance table; the wall codes too when they come with it."""
-        ends = self.edge_array
-        src, dst = ends.T.ravel(), ends[:, ::-1].T.ravel()
-        row_ends = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=self.n))])
         # float64 weights, the type scipy's searches take without a copy
-        g = csr_matrix((np.ones(len(src)), dst[np.argsort(src)], row_ends), shape=(self.n, self.n))
+        g = _adjacency(self.edge_array, self.n, np.float64)
         level = dijkstra(g, unweighted=True, indices=0)
         if np.isinf(level).any():
             raise ValueError("graph is not connected")
-        found = _single_search_codes(ends, level.astype(np.intp))
+        found = _single_search_codes(self.edge_array, level.astype(np.intp))
         if found is not None:
             self._codes, dist = found
             return dist
@@ -554,19 +649,48 @@ class MedianGraph:
         majority of u with the two ends of those two steps is a vertex,
         and the geodesic through it crosses the two walls the other way
         round.  Enough such swaps bring one of the first kind to the
-        front."""
-        planes = codes.planes
-        words, n = planes.shape
-        v, w = np.nonzero(np.triu(self.dist == 2))
-        either = planes[:, v] | planes[:, w]
-        both = planes[:, v] & planes[:, w]
-        us = planes[:, :, None]
-        step = max(1, _BLOCK_WORDS // (n * words))
-        for lo in range(0, len(v), step):
-            pairs = slice(lo, lo + step)
-            _, hit = codes.locate((us & either[:, None, pairs]) | both[:, None, pairs])
-            if not hit.all():
-                return False
+        front.
+
+        The pairs at distance 2 need no search.  Such v and w differ on
+        exactly two walls i and j, so maj(u, v, w) is v's code with bits
+        i and j taken from u: one of the four corners of the (i, j)
+        square through v and w, whichever u is.  v, w and a common
+        neighbour fill three corners, and a vertex at the fourth would
+        be a second common neighbour.  So a pair with two common
+        neighbours has every corner, and a pair with one has every
+        majority a vertex exactly when no u lies in the fourth quadrant
+        of walls i and j, that is, when i and j do not cross (the other
+        three quadrants hold v, w and their neighbour).  The graph is
+        bipartite, so its pairs at distance 2 are the off-diagonal
+        entries of the square of its adjacency matrix, each entry the
+        number of common neighbours; each block of rows tests its
+        distinct wall pairs once."""
+        n, words = self.n, len(codes.planes)
+        adj = _adjacency(self.edge_array, n, np.int32)
+        # rows per block: entries of the square times code words, about _BLOCK_WORDS
+        work = np.cumsum(adj @ np.diff(adj.indptr)) * words
+        cuts = np.searchsorted(work, np.arange(1, -(-int(work[-1]) // _BLOCK_WORDS)) * _BLOCK_WORDS)
+        half, full = codes.halves(), _all_bits(n)
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, n]):
+            two = (adj if hi - lo == n else adj[lo:hi]) @ adj  # a slice copies
+            row = np.repeat(np.arange(lo, hi), np.diff(two.indptr))
+            one = (two.data == 1) & (row < two.indices)
+            apart = codes.planes[:, row[one]] ^ codes.planes[:, two.indices[one]]
+            # the two walls apart: i in the first nonzero word, j in the last
+            nonzero = apart != 0
+            first, last = nonzero.argmax(axis=0), words - 1 - nonzero[::-1].argmax(axis=0)
+            pair = np.arange(apart.shape[1])
+            low, high = apart[first, pair], apart[last, pair]
+            high = np.where(first == last, low & (low - np.uint64(1)), high)  # the low bit dropped
+            i = 64 * first + np.bitwise_count((low - np.uint64(1)) & ~low)
+            j = 64 * last + np.bitwise_count(high - np.uint64(1))
+            i, j = np.divmod(np.unique(i * codes.count + j), codes.count)
+            step = max(1, _BLOCK_WORDS // len(full))
+            for k in range(0, len(i), step):
+                a, b = half[i[k:k + step]], half[j[k:k + step]]
+                quadrants = (a & b, a & ~b, ~a & b, ~(a | b) & full)
+                if np.logical_and.reduce([q.any(axis=1) for q in quadrants]).any():
+                    return False
         return True
 
     def verify_medians(self) -> None:

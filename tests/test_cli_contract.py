@@ -241,6 +241,26 @@ def test_oversized_generator_refused_before_building(params, n):
     assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize("params, name, value", [
+    (["tree", "2", "-1"], "depth", -1),
+    (["tree", "-1", "3"], "branching", -1),
+    (["coarse-grid", "-1", "-1"], "w", -1),
+    (["coarse-grid", "2", "-1"], "h", -1),
+    (["hypercube", "-1"], "d", -1),
+    (["grid", "-1", "3"], "w", -1),
+    (["grid", "3", "-2"], "h", -2),
+    (["staircase", "-2"], "n", -2),
+    (["median-closure", "-1", "4"], "k", -1),
+    (["median-closure", "3", "-1"], "d", -1),
+])
+def test_negative_generator_parameter_refused_by_name(params, name, value):
+    payload = run_contract(["gen", *params])
+    assert payload == {
+        "error": "invalid-input",
+        "message": f"{params[0]} parameter {name} must be non-negative, got {value}",
+    }
+
+
 def test_coarse_grid_at_145_points_writes(tmp_path):
     out = tmp_path / "c88.inst"
     assert main(["gen", "coarse-grid", "8", "8", "--output", str(out)]) == 0

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from mediancert import median_core
@@ -477,11 +477,69 @@ def breadth_first_reference(g):
     return dist, median_core._wall_codes(dist, ends)
 
 
+def one_word_search_reference(ends, level):
+    """The single search as it was for at most 64 walls: codes in one
+    uint64 per vertex, and the table as their Hamming distances, checked
+    pair by pair."""
+    n = len(level)
+    ea, eb = ends.T
+    if (level[ea] == level[eb]).any() or level.max() > 64:
+        return None
+    down = level[ea] < level[eb]
+    parent, child = np.where(down, ea, eb), np.where(down, eb, ea)
+    opens = np.flatnonzero(np.bincount(child, minlength=n) == 1)
+    if len(opens) > 64:
+        return None
+    code = np.zeros(n, dtype=np.uint64)
+    code[opens] = np.left_shift(np.uint64(1), np.arange(len(opens), dtype=np.uint64))
+    order = np.argsort(level[child])
+    parent, child = parent[order], child[order]
+    cut = np.searchsorted(level[child], np.arange(1, level.max() + 2))
+    for lo, hi in zip(cut[:-1], cut[1:]):
+        np.bitwise_or.at(code, child[lo:hi], code[parent[lo:hi]])
+    flips = code[ea] ^ code[eb]
+    if (np.bitwise_count(flips) != 1).any():
+        return None
+    toward = np.zeros(n, dtype=np.uint64)
+    np.bitwise_or.at(toward, ea, flips)
+    np.bitwise_or.at(toward, eb, flips)
+    apart = code[:, None] ^ code
+    dist = np.bitwise_count(apart).astype(np.int32)
+    stuck = (apart & toward) == 0
+    np.fill_diagonal(stuck, False)
+    if stuck.any():
+        return None
+    bit = np.bitwise_count(flips - np.uint64(1)).astype(np.intp)
+    _, lead = np.unique(bit, return_index=True)
+    by_edge = np.argsort(lead)
+    sides = np.unpackbits(code.astype("<u8").view(np.uint8).reshape(n, 8), axis=1, bitorder="little")[:, by_edge]
+    plus = sides == sides[eb[lead[by_edge]], np.arange(len(lead))]
+    raw = np.zeros((n, 8), dtype=np.uint8)
+    raw[:, :(len(lead) + 7) // 8] = np.packbits(plus, axis=1, bitorder="little")
+    wall_of = np.empty_like(by_edge)
+    wall_of[by_edge] = np.arange(len(by_edge))
+    return median_core.WallCodes(np.ascontiguousarray(raw.view("<u8").T), wall_of[bit], len(lead)), dist
+
+
+def squares_close_reference(g, codes):
+    """True when maj(u, v, w) is a vertex's code for every u and every
+    pair v, w at distance 2, each majority located in the code table."""
+    planes = codes.planes
+    v, w = np.nonzero(np.triu(g.dist == 2))
+    either = planes[:, v] | planes[:, w]
+    both = planes[:, v] & planes[:, w]
+    _, hit = codes.locate((planes[:, :, None] & either[:, None, :]) | both[:, None, :])
+    return bool(hit.all())
+
+
 def grid_edges(w, h):
     return generate("grid", [w, h]).edges
 
 
-@pytest.mark.parametrize("label, n, edges, one_word", [
+K23_PENDANT = [(0, 2), (0, 4), (1, 2), (1, 4), (2, 5), (4, 5), (3, 4)]
+
+
+@pytest.mark.parametrize("label, n, edges, single", [
     ("grid 9x9", 100, grid_edges(9, 9), True),
     ("grid 1x40", 82, grid_edges(1, 40), True),
     ("hypercube 7", 128, generate("hypercube", [7]).edges, True),
@@ -492,22 +550,27 @@ def grid_edges(w, h):
     # an odd cycle is no partial cube; 100 walls on a longer even one
     ("cycle 65", 65, [(i, (i + 1) % 65) for i in range(65)], False),
     ("cycle 200", 200, [(i, (i + 1) % 200) for i in range(200)], False),
-    # 128 leaves, each the only vertex past its own wall
-    ("tree 2 7", 255, generate("tree", [2, 7]).edges, False),
+    # 128 leaves, each the only vertex past its own wall: four words
+    ("tree 2 7", 255, generate("tree", [2, 7]).edges, True),
     # a triangle, and bipartite chords across three steps of the grid;
     # along the border every edge still flips one bit, but the code
     # distance falls short of the graph's
     ("grid 9x9 + diagonal", 100, grid_edges(9, 9) + [(0, 11)], False),
     ("grid 9x9 + chord", 100, grid_edges(9, 9) + [(0, 3)], False),
     ("grid 9x9 + border chord", 100, grid_edges(9, 9) + [(9, 39)], False),
+    # K_{2,3} with a pendant vertex: every edge flips one bit, but 1 and 5
+    # get one code, so only the last check refuses; in one word, and in
+    # two with a 70-edge path hung on 0
+    ("K23 + pendant", 6, K23_PENDANT, False),
+    ("K23 + pendant + path", 76, K23_PENDANT + [(0, 6)] + [(v, v + 1) for v in range(6, 75)], False),
 ])
-def test_one_word_codes_match_breadth_first_search(label, n, edges, one_word):
+def test_one_word_codes_match_breadth_first_search(label, n, edges, single):
     g = MedianGraph(n, edges)
     dist, codes = breadth_first_reference(g)
     assert np.array_equal(g.dist, dist)
     # the single search gives the codes with the table on the median
-    # graphs of at most 64 walls; every other graph here falls back
-    assert (g._codes is not None) == one_word
+    # graphs, at any number of walls; every other graph here falls back
+    assert (g._codes is not None) == single
     got = g.wall_codes()
     assert (got is None) == (codes is None)
     if codes is not None:
@@ -576,6 +639,33 @@ def test_single_search_matches_breadth_first_search(g):
     assert g._codes is not None  # from the single search, not the fallback
     assert g.dist.dtype == dist.dtype and np.array_equal(g.dist, dist)
     assert_codes_equal(g.wall_codes(), codes)
+    one_word, table = one_word_search_reference(g.edge_array, g.dist[0].astype(np.intp))
+    assert np.array_equal(g.dist, table)
+    assert_codes_equal(g.wall_codes(), one_word)
+
+
+@st.composite
+def wide_median_graphs(draw):
+    """Median graphs of more than 64 walls, relabelled at random: trees
+    of up to 300 vertices, and grids."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        n = draw(st.integers(66, 300))
+        g = MedianGraph(n, [(rng.randrange(v), v) for v in range(1, n)])
+    else:
+        w = draw(st.integers(0, 3))
+        g = generate("grid", [w, draw(st.integers(65 - w, 100))])
+    label = rng.sample(range(g.n), g.n)
+    return MedianGraph(g.n, [(label[u], label[v]) for u, v in g.edges])
+
+
+@SETTINGS
+@given(g=wide_median_graphs())
+def test_wide_search_matches_breadth_first_search(g):
+    dist, codes = breadth_first_reference(g)
+    assert codes.count > 64 and g._codes is not None
+    assert g.dist.dtype == dist.dtype and np.array_equal(g.dist, dist)
+    assert_codes_equal(g.wall_codes(), codes)
 
 
 @SETTINGS
@@ -593,17 +683,69 @@ def test_single_search_falls_back_without_gates(g):
         assert_codes_equal(got, codes)
 
 
+@st.composite
+def closures_less_vertices(draw):
+    """Median closures less a few vertices, kept when connected: median
+    graphs, partial cubes that are not median, and other graphs."""
+    k, dim = draw(st.integers(2, 6)), draw(st.integers(2, 8))
+    g = generate("median-closure", [k, dim], seed=draw(st.integers(0, 10**6)))
+    gone = draw(st.sets(st.integers(0, g.n - 1), max_size=max(1, g.n // 4)))
+    keep = {v: i for i, v in enumerate(v for v in range(g.n) if v not in gone)}
+    try:
+        return MedianGraph(len(keep), [(keep[u], keep[v]) for u, v in g.edges if u in keep and v in keep])
+    except ValueError:  # disconnected, or no vertex left
+        assume(False)
+
+
+@st.composite
+def trees_with_a_cycle(draw):
+    """A tree of more than 64 walls with an even cycle glued on at one
+    vertex: median for a square, a partial cube but not median for a
+    longer cycle.  The search falls back there, so the codes come from
+    the all-pairs table."""
+    rng = draw(st.randoms(use_true_random=False))
+    n, k = draw(st.integers(66, 200)), draw(st.sampled_from([4, 6, 8]))
+    at = draw(st.integers(0, n - 1))
+    cycle = [at, *range(n, n + k - 1)]
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    return MedianGraph(n + k - 1, edges + [(cycle[i - 1], cycle[i]) for i in range(k)])
+
+
+@SETTINGS
+@given(g=st.one_of(one_word_median_graphs(), graphs_without_gates(), closures_less_vertices(), trees_with_a_cycle()))
+def test_square_check_matches_reference(g):
+    codes = g.wall_codes()
+    assume(codes is not None)
+    assert g._squares_close(codes) == squares_close_reference(g, codes)
+
+
 def test_fallback_table_fills_in_row_blocks():
-    # 1024 leaves, each a wall of its own: the all-pairs search.  The
-    # int32 table takes 16 MiB; scipy's float64 rows for every source at
-    # once would add 32 MiB more.
+    # an even cycle is a partial cube that is not median: the all-pairs
+    # search.  The int32 table takes 16 MiB; scipy's float64 rows for
+    # every source at once would add 32 MiB more.
+    n = 2048
+    tracemalloc.start()
+    try:
+        g = MedianGraph(n, [(i, (i + 1) % n) for i in range(n)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g._codes is None
+    assert peak < 32 * 2**20, peak
+    assert g.dist.dtype == np.int32 and g.dist[0].max() == 1024 and g.dist.max() == 1024
+    assert np.array_equal(g.dist[1000], breadth_first_reference(g)[0][1000])
+
+
+def test_single_search_table_fits_in_32_mib():
+    # 1024 leaves, each a wall of its own: 32 words of code per vertex,
+    # and the table filled row by row beside its 16 MiB
     tracemalloc.start()
     try:
         g = generate("tree", [2, 10])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert g._codes is None
+    assert g._codes is not None and g._codes.count == 2046
     assert peak < 32 * 2**20, peak
     assert g.dist.dtype == np.int32 and g.dist[0].max() == 10 and g.dist.max() == 20
     assert np.array_equal(g.dist[1000], breadth_first_reference(g)[0][1000])
