@@ -12,11 +12,20 @@ tau-interval of x and y).  From these the derived scales are
 
 and the interval calculus (interval absorption, deep points, median
 projections) is checked against them on concrete instances.
+
+The metric is one table of integer numerators ``nums`` over one
+denominator ``den``, the lcm of the entries' denominators: int32 when
+every numerator fits, as an integral metric's must, else Python ints in
+an object array.  Each sweep is one integer array expression that makes
+a ``Fraction`` only of its result, and a threshold q is compared as
+nums <= floor(q * den), exact for integer nums.  H0 and gamma are
+exhaustive on integral metrics up to 40 points and sampled otherwise:
+exact constants would change what reports on rational metrics print.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,11 +81,18 @@ def l_constants(params: CoarseParams, r, t, d: int) -> LConstants:
     )
 
 
+def _wide(nums: np.ndarray) -> np.ndarray:
+    """int32 numerators as int64, whose sums cannot wrap around."""
+    return nums.astype(np.promote_types(nums.dtype, np.int64))
+
+
 class CoarseMedianInstance:
     """Points 0..n-1 with an exact metric table and a ternary operation
-    table.  Metric axioms are validated on load; the operation's
-    permutation invariance and absorption of repeated arguments are
-    measured and recorded as m1_defect / m2_defect."""
+    table.  The metric is ``nums / den`` (see the module docstring);
+    ``dist_int`` is ``nums`` when ``den`` is 1, else None.  Metric
+    axioms are validated on load; the operation's permutation
+    invariance and absorption of repeated arguments are measured and
+    recorded as m1_defect / m2_defect."""
 
     def __init__(self, dist, mu: np.ndarray, d: int = 2,
                  ambient: MedianGraph | None = None,
@@ -94,18 +110,21 @@ class CoarseMedianInstance:
         if self.mu.min() < 0 or self.mu.max() >= self.n:
             raise ValueError("operation value out of range")
         self.d = int(d)
-        self.dist_int: np.ndarray | None = None
-        self.dist_frac: list[list[Fraction]] | None = None
-        rows = [[Fraction(v) for v in row] for row in dist]
-        if all(v.denominator == 1 for row in rows for v in row):
-            ints = [[v.numerator for v in row] for row in rows]
-            far = [(i, j) for i, r in enumerate(ints) for j, v in enumerate(r) if not -2**31 < v < 2**31]
-            if far:
-                i, j = far[0]
-                raise ValueError(f"distance d({i},{j}) = {ints[i][j]} is outside the int32 range")
-            self.dist_int = np.array(ints, dtype=np.int32)
-        else:
-            self.dist_frac = rows
+        table = np.asarray(dist)
+        if table.shape != (self.n, self.n):
+            raise ValueError("metric table shape mismatch")
+        self.den = 1
+        if table.dtype.kind not in "iu":  # Fractions, or what Fraction() reads
+            fracs = [Fraction(v) for v in table.ravel().tolist()]
+            self.den = math.lcm(*(f.denominator for f in fracs))
+            table = np.array([f.numerator * (self.den // f.denominator) for f in fracs],
+                             dtype=object).reshape(table.shape)
+        far = (table <= -2**31) | (table >= 2**31)
+        if self.den == 1 and far.any():
+            i, j = np.argwhere(far)[0].tolist()
+            raise ValueError(f"distance d({i},{j}) = {table[i, j]} is outside the int32 range")
+        self.nums = table.astype(object if far.any() else np.int32)
+        self.dist_int: np.ndarray | None = self.nums if self.den == 1 else None
         self._validate_metric()
         self.ambient = ambient
         self.point_to_ambient = point_to_ambient
@@ -113,21 +132,38 @@ class CoarseMedianInstance:
         self.m1_defect, self.m2_defect = self._operation_defects()
         self.params: CoarseParams | None = None
 
+    def check_points(self, **points: int) -> None:
+        """ValueError naming the first id outside 0..n-1, which a numpy
+        index would wrap around or refuse."""
+        for name, p in points.items():
+            if not 0 <= p < self.n:
+                raise ValueError(f"point {name} = {p} out of range 0..{self.n - 1}")
+
     # -- metric ------------------------------------------------------
 
     def rho(self, i: int, j: int):
-        if self.dist_int is not None:
-            return int(self.dist_int[i, j])
-        return self.dist_frac[i][j]
+        self.check_points(i=i, j=j)
+        v = int(self.nums[i, j])
+        return v if self.den == 1 else Fraction(v, self.den)
+
+    def threshold(self, q) -> int:
+        """floor(q * den): rho(i, j) <= q exactly when
+        nums[i, j] <= threshold(q)."""
+        q = Fraction(q)
+        return q.numerator * self.den // q.denominator
+
+    def _worst(self, p, q) -> Fraction:
+        """The largest rho(p[i], q[i]) over paired point arrays; 0 when
+        they are empty."""
+        return Fraction(int(self.nums[p, q].max(initial=0)), self.den)
+
+    def _offsets(self, a: int, b: int) -> np.ndarray:
+        """nums[mu(a, b, x), x] for every point x."""
+        return self.nums[self.mu[a, b], np.arange(self.n)]
 
     def _validate_metric(self) -> None:
         n = self.n
-        if self.dist_int is not None:
-            d = self.dist_int.astype(np.int64)  # an int32 sum can wrap around
-        else:
-            d = np.array(self.dist_frac, dtype=object)
-        if d.shape != (n, n):
-            raise ValueError("metric table shape mismatch")
+        d = _wide(self.nums)
         if np.any(np.diag(d) != 0) or np.any(d != d.T):
             raise ValueError("metric is not symmetric with zero diagonal")
         if np.any((d == 0) & ~np.eye(n, dtype=bool)):
@@ -140,6 +176,7 @@ class CoarseMedianInstance:
     # -- operation ---------------------------------------------------
 
     def med(self, i: int, j: int, k: int) -> int:
+        self.check_points(i=i, j=j, k=k)
         return int(self.mu[i, j, k])
 
     def _operation_defects(self):
@@ -147,20 +184,12 @@ class CoarseMedianInstance:
         m1 = Fraction(0)
         for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
             other = tab.transpose(perm)
-            if not np.array_equal(tab, other):
-                mism = tab != other
-                m1 = max(m1, max(
-                    Fraction(self.rho(int(a), int(b)))
-                    for a, b in zip(tab[mism].ravel(), other[mism].ravel())
-                ))
+            mism = tab != other
+            m1 = max(m1, self._worst(tab[mism], other[mism]))
         idx = np.arange(self.n)
-        diag = tab[idx[:, None], idx[:, None], idx[None, :]]
-        m2 = Fraction(0)
-        if not np.array_equal(diag, idx[:, None].repeat(self.n, axis=1)):
-            mism = diag != idx[:, None]
-            aa, bb = np.nonzero(mism)
-            m2 = max(Fraction(self.rho(int(diag[a, b]), int(a))) for a, b in zip(aa, bb))
-        return m1, m2
+        diag = tab[idx[:, None], idx[:, None], idx[None, :]]  # diag[a, b] = mu(a, a, b)
+        mism = diag != idx[:, None]
+        return m1, self._worst(diag[mism], np.nonzero(mism)[0])
 
     def points(self) -> range:
         return range(self.n)
@@ -168,10 +197,8 @@ class CoarseMedianInstance:
 
 def coarse_interval(inst: CoarseMedianInstance, a: int, b: int, tau) -> frozenset[int]:
     """Points x with rho(mu(a,b,x), x) <= tau."""
-    tau = Fraction(tau)
-    return frozenset(
-        x for x in inst.points() if inst.rho(inst.med(a, b, x), x) <= tau
-    )
+    inst.check_points(a=a, b=b)
+    return frozenset(np.flatnonzero(inst._offsets(a, b) <= inst.threshold(tau)).tolist())
 
 
 # -- parameter estimation --------------------------------------------
@@ -224,24 +251,13 @@ def _h0_exhaustive(inst: CoarseMedianInstance, k: Fraction,
 
 
 def _sextuple_sample(inst: CoarseMedianInstance, budget: int, seed: int):
-    """Displacement pairs (args, mu) for a seeded sextuple sample."""
+    """Displacement numerators (args, mu) for a seeded sextuple sample."""
     rng = np.random.default_rng(seed)
-    n = inst.n
-    idx = rng.integers(0, n, size=(budget, 6))
+    idx = rng.integers(0, inst.n, size=(budget, 6))
     mu = inst.mu
-    m1 = mu[idx[:, 0], idx[:, 1], idx[:, 2]]
-    m2 = mu[idx[:, 3], idx[:, 4], idx[:, 5]]
-    if inst.dist_int is not None:
-        d = inst.dist_int.astype(np.int64)
-        lhs = d[m1, m2]
-        rhs = d[idx[:, 0], idx[:, 3]] + d[idx[:, 1], idx[:, 4]] + d[idx[:, 2], idx[:, 5]]
-        return lhs, rhs
-    lhs = [inst.rho(int(p), int(q)) for p, q in zip(m1, m2)]
-    rhs = [
-        inst.rho(int(r[0]), int(r[3])) + inst.rho(int(r[1]), int(r[4]))
-        + inst.rho(int(r[2]), int(r[5]))
-        for r in idx
-    ]
+    d = _wide(inst.nums)
+    lhs = d[mu[idx[:, 0], idx[:, 1], idx[:, 2]], mu[idx[:, 3], idx[:, 4], idx[:, 5]]]
+    rhs = d[idx[:, 0], idx[:, 3]] + d[idx[:, 1], idx[:, 4]] + d[idx[:, 2], idx[:, 5]]
     return lhs, rhs
 
 
@@ -274,18 +290,15 @@ def _gamma_sampled(inst: CoarseMedianInstance, budget: int, seed: int) -> Fracti
     idx = rng.integers(0, inst.n, size=(budget, 5))
     mu = inst.mu
     x, y, z, v, w = (idx[:, i] for i in range(5))
-    lhs = mu[x, y, mu[z, v, w]]
-    rhs = mu[mu[x, y, z], mu[x, y, v], w]
-    if inst.dist_int is not None:
-        return Fraction(int(inst.dist_int[lhs, rhs].max()))
-    return max(Fraction(inst.rho(int(a), int(b))) for a, b in zip(lhs, rhs))
+    return inst._worst(mu[x, y, mu[z, v, w]], mu[mu[x, y, z], mu[x, y, v], w])
 
 
 def estimate_params(inst: CoarseMedianInstance, budget: int = 200_000,
                     seed: int = 0, h0_cap=None) -> CoarseParams:
     """Fit (K, H0) lexicographically over the K grid (smallest K first,
     then its smallest H0), measure gamma over 5-tuples and lam over
-    triples.  Sweeps are exhaustive up to 40 points, sampled above.
+    triples.  Sweeps are exhaustive on integral metrics up to 40
+    points, sampled otherwise.
     With an H0 cap, K values whose fitted H0 exceeds the cap are
     rejected; if none fits, NotCoarseMedian."""
     exhaustive = inst.n <= EXHAUSTIVE_POINTS and inst.dist_int is not None
@@ -294,18 +307,14 @@ def estimate_params(inst: CoarseMedianInstance, budget: int = 200_000,
         env = _slot_envelope(inst)
     else:
         gamma = _gamma_sampled(inst, budget, seed)
-        sample = _sextuple_sample(inst, budget, seed)
+        lhs, rhs = _sextuple_sample(inst, budget, seed)
     fit = None
     for k in K_GRID:
         if exhaustive:
             h0 = _h0_exhaustive(inst, k, env)
         else:
-            lhs, rhs = sample
-            if isinstance(lhs, np.ndarray):
-                gap = k.denominator * lhs - k.numerator * rhs
-                h0 = Fraction(int(gap.max()), k.denominator)
-            else:
-                h0 = max(l - k * r for l, r in zip(lhs, rhs))
+            gap = k.denominator * lhs - k.numerator * rhs
+            h0 = Fraction(int(gap.max()), k.denominator * inst.den)
         h0 = max(h0, Fraction(0))
         if h0_cap is None or h0 <= Fraction(h0_cap):
             fit = (k, h0)
@@ -315,16 +324,9 @@ def estimate_params(inst: CoarseMedianInstance, budget: int = 200_000,
             f"no multiplier below {K_GRID[-1]} fits within the cap",
             cap=str(h0_cap),
         )
-    lam = Fraction(0)
-    mu, n = inst.mu, inst.n
-    if inst.dist_int is not None:
-        z = np.arange(n)
-        proj = mu[z[:, None, None], z[None, :, None], mu]
-        lam = Fraction(int(inst.dist_int[proj.ravel(), mu.ravel()].max()))
-    else:
-        for x, y, zz in itertools.product(range(n), repeat=3):
-            m = inst.med(x, y, zz)
-            lam = max(lam, Fraction(inst.rho(inst.med(x, y, m), m)))
+    mu, z = inst.mu, np.arange(inst.n)
+    proj = mu[z[:, None, None], z[None, :, None], mu]  # mu(x, y, mu(x, y, z))
+    lam = inst._worst(proj.ravel(), mu.ravel())
     params = CoarseParams(K=fit[0], H0=fit[1], gamma=gamma, lam=lam)
     inst.params = params
     return params
@@ -344,18 +346,18 @@ def check_lemma_6_2(inst: CoarseMedianInstance, a: int, b: int, x: int, r,
     """With x in the lam-interval of (a, b): every point of the
     r-interval of (a, x) must lie in the L1(r)-interval of (a, b).
     ``cs`` may pass in l_constants(params, r, 1, d).
-    Returns (True, None) or (False, witness)."""
+    Returns (True, None) or (False, witness), the first such point."""
+    inst.check_points(a=a, b=b, x=x)
     p = _params(inst)
     if inst.rho(inst.med(a, b, x), x) > p.lam:
         raise PreconditionViolation(
             f"{x} is not lam-between {a} and {b}", a=a, b=b, x=x,
         )
     l1 = (cs or l_constants(p, r, 1, inst.d)).L1
-    r = Fraction(r)
-    for z in inst.points():
-        if inst.rho(inst.med(a, x, z), z) <= r:
-            if inst.rho(inst.med(a, b, z), z) > l1:
-                return False, z
+    outside = (inst._offsets(a, x) <= inst.threshold(r)) \
+        & (inst._offsets(a, b) > inst.threshold(l1))
+    if outside.any():
+        return False, int(outside.argmax())
     return True, None
 
 
@@ -365,27 +367,24 @@ def find_deep_point(inst: CoarseMedianInstance, a: int, b: int, r, t, kappa):
     whole rt-ball slice: every x with rho(a,x) <= r*t in the
     kappa-interval of (a,b) must be L2(r)-between a and h.  Returns the
     point or None; absence at one scale is a result, not an error."""
+    inst.check_points(a=a, b=b)
     if Fraction(r) <= 0 or Fraction(t) <= 0:
         return None  # degenerate scale, below any workable r
     p = _params(inst)
     cs = l_constants(p, r, t, inst.d)
-    kappa = Fraction(kappa)
-    rt = Fraction(r) * Fraction(t)
-    cut = [
-        x for x in inst.points()
-        if inst.rho(a, x) <= rt and inst.rho(inst.med(a, b, x), x) <= kappa
-    ]
-    candidates = sorted(
-        (
-            h for h in inst.points()
-            if inst.rho(inst.med(a, b, h), h) <= cs.L1 and inst.rho(a, h) <= cs.L3
-        ),
-        key=lambda h: (inst.rho(a, h), h),
+    from_a, off = inst.nums[a], inst._offsets(a, b)
+    cut = np.flatnonzero(
+        (from_a <= inst.threshold(Fraction(r) * Fraction(t)))
+        & (off <= inst.threshold(kappa))
     )
-    for h in candidates:
-        if all(inst.rho(inst.med(a, h, x), x) <= cs.L2 for x in cut):
-            return h
-    return None
+    candidates = np.flatnonzero(
+        (off <= inst.threshold(cs.L1)) & (from_a <= inst.threshold(cs.L3))
+    )
+    candidates = candidates[np.argsort(from_a[candidates], kind="stable")]
+    # absorbs[i]: rho(mu(a, h, x), x) <= L2 for h = candidates[i] and every x in the cut
+    absorbs = (inst.nums[inst.mu[a][np.ix_(candidates, cut)], cut]
+               <= inst.threshold(cs.L2)).all(axis=1)
+    return int(candidates[absorbs.argmax()]) if absorbs.any() else None
 
 
 def check_lemma_6_5(inst: CoarseMedianInstance, a: int, b: int, h: int, m: int, r,
@@ -394,6 +393,7 @@ def check_lemma_6_5(inst: CoarseMedianInstance, a: int, b: int, h: int, m: int, 
     m back toward b through h moves it at most
     K*(L1+L2) + 2*H0 + gamma away from h.  ``cs`` may pass in
     l_constants(params, r, 1, d).  Returns (ok, dist, bound)."""
+    inst.check_points(a=a, b=b, h=h, m=m)
     p = _params(inst)
     cs = cs or l_constants(p, r, 1, inst.d)
     if inst.rho(inst.med(a, b, h), h) > cs.L1:
@@ -495,15 +495,7 @@ def measured_h5(inst: CoarseMedianInstance, samples: int = 60, seed: int = 0,
             amb = rnd[tab[np.ix_(mem[blk], mem, mem)].astype(np.int64)]
             got = inst.mu[rmem[blk, None, None], rmem[None, :, None],
                           rmem[None, None, :]].astype(np.int64)
-            if inst.dist_int is not None:
-                gap = int(inst.dist_int[amb.ravel(), got.ravel()].max())
-                worst = max(worst, Fraction(gap))
-            else:
-                worst = max(
-                    worst,
-                    max(inst.rho(int(u), int(v))
-                        for u, v in zip(amb.ravel(), got.ravel())),
-                )
+            worst = max(worst, inst._worst(amb.ravel(), got.ravel()))
     return worst
 
 
@@ -517,6 +509,7 @@ def witness_sets_coarse(inst: CoarseMedianInstance, basepoint: int, x: int,
     distance k of x.  Valid while k <= 3*l for l = (t*r_t - H0)/(3K).
     With diagnose=True the projection chain behind that validity is
     checked per y and the first broken link raises ConditionViolation."""
+    inst.check_points(basepoint=basepoint, x=x)
     p = _params(inst)
     level = (Fraction(t) * Fraction(r_t) - p.H0) / (3 * p.K)
     if Fraction(k) > 3 * level:
@@ -529,9 +522,7 @@ def witness_sets_coarse(inst: CoarseMedianInstance, basepoint: int, x: int,
     cs = l_constants(p, r_t, t, inst.d)
     l1_lam = l_constants(p, p.lam, 1, inst.d).L1
     out = set()
-    for y in inst.points():
-        if inst.rho(x, y) > k:
-            continue
+    for y in np.flatnonzero(inst.nums[x] <= inst.threshold(k)).tolist():
         h = find_deep_point(inst, y, basepoint, r_t, t, kappa)
         if h is None:
             raise NotFound(
@@ -622,15 +613,13 @@ class CoarseWitnessProvider:
     def sets(self, x: int, k: int, l: int) -> frozenset[int]:
         if not (1 <= k <= 3 * l):
             raise ValueError(f"radius index {k} outside 1..{3 * l}")
+        self.inst.check_points(x=x)
         key = (x, k, l)
         s = self._sets.get(key)
         if s is None:
             r = self.scale(l)
-            s = frozenset(
-                self._deep_point(y, r)
-                for y in self.inst.points()
-                if self.inst.rho(x, y) <= k
-            )
+            near = self.inst.nums[x] <= self.inst.threshold(k)
+            s = frozenset(self._deep_point(y, r) for y in np.flatnonzero(near).tolist())
             self._sets[key] = s
         return s
 
@@ -652,7 +641,7 @@ def discover_deep_scale(inst: CoarseMedianInstance, t: int, pairs,
 def from_median_graph(g: MedianGraph) -> CoarseMedianInstance:
     """Exact instance: graph metric, graph medians, identity rounding."""
     return CoarseMedianInstance(
-        g.dist.tolist(),
+        g.dist,
         g.median_table(),
         d=graph_rank(g),
         ambient=g,
@@ -687,9 +676,6 @@ def coarsened_grid(w: int, h: int) -> CoarseMedianInstance:
                     best = (ii, jj)
         return index[best]
 
-    dist = [
-        [abs(a[0] - b[0]) + abs(a[1] - b[1]) for b in coords] for a in coords
-    ]
     round_amb = np.fromiter(
         (nearest_kept(i, j) for i in range(cols) for j in range(rows)),
         dtype=np.int64,
@@ -703,6 +689,7 @@ def coarsened_grid(w: int, h: int) -> CoarseMedianInstance:
 
     ci = np.array([c[0] for c in coords], dtype=np.int64)
     cj = np.array([c[1] for c in coords], dtype=np.int64)
+    dist = np.abs(ci[:, None] - ci) + np.abs(cj[:, None] - cj)
     mu = round_amb[med3(ci) * rows + med3(cj)].astype(np.int32)
     ambient_edges = []
     for i in range(cols):

@@ -315,9 +315,12 @@ def _read_graph_bulk(lines: list[str]) -> tuple[int | None, np.ndarray] | None:
 
 
 def parse_graph_text(text: str) -> MedianGraph:
+    return _parse_graph_lines(text.splitlines())
+
+
+def _parse_graph_lines(lines: list[str]) -> MedianGraph:
     # all but a line or two of a graph file are "e" lines: read them in
     # bulk, and the file line by line only when that fails
-    lines = text.splitlines()
     n, edges = _read_graph_bulk(lines) or _read_graph_lines(lines)
     if n is None:
         raise ValueError("missing 'vertices N' header")
@@ -397,10 +400,10 @@ def _parse_instance_lines(lines: list[str], graph: MedianGraph | None) -> Coarse
         rows = np.empty((0, 4), dtype=np.int64)
     n = None
     d = None
-    metric: dict[tuple[int, int], Fraction] = {}
+    metric: dict[tuple[int, int], int | Fraction] = {}
     more_rows: list[list[int]] = []
     have_metric = have_mu = False
-    for no in [no for no, is_m in enumerate(bulk) if not is_m]:
+    for no in itertools.compress(itertools.count(), map(operator.not_, bulk)):
         raw = lines[no]
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -417,8 +420,10 @@ def _parse_instance_lines(lines: list[str], graph: MedianGraph | None) -> Coarse
         elif line == "mu explicit":
             have_mu = True
         elif parts[0] == "d" and len(parts) == 4:
+            v = parts[3]
             try:
-                metric[(int(parts[1]), int(parts[2]))] = Fraction(parts[3])
+                metric[(int(parts[1]), int(parts[2]))] = \
+                    int(v) if v.isascii() and v.isdigit() else Fraction(v)
             except ZeroDivisionError:
                 raise ValueError(f"line {no + 1}: zero denominator in {raw!r}") from None
         elif parts[0] == "m" and len(parts) == 5:
@@ -436,18 +441,20 @@ def _parse_instance_lines(lines: list[str], graph: MedianGraph | None) -> Coarse
     if graph is not None and graph.n != n:
         raise ValueError("graph and instance point counts differ")
     if have_metric:
-        dist = [[Fraction(0)] * n for _ in range(n)]
+        # an int table unless a value is a Fraction or too large for int64
+        wide = any(type(v) is Fraction or v >= 2**63 for v in metric.values())
+        dist = np.zeros((n, n), dtype=object if wide else np.int64)
+        listed = np.eye(n, dtype=bool)
         for (i, j), v in metric.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"d line {i} {j}: point out of range 0..{n - 1}")
-            dist[i][j] = v
-            dist[j][i] = v
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (i, j) not in metric and (j, i) not in metric:
-                    raise ValueError(f"missing distance for pair ({i},{j})")
+            dist[i, j] = dist[j, i] = v
+            listed[i, j] = listed[j, i] = True
+        if not listed.all():
+            i, j = np.argwhere(~listed)[0].tolist()
+            raise ValueError(f"missing distance for pair ({i},{j})")
     elif graph is not None:
-        dist = graph.dist.tolist()
+        dist = graph.dist
     else:
         raise ValueError("no metric section and no graph to derive one from")
     if have_mu:
@@ -478,7 +485,7 @@ def load_input(path: str):
             continue
         head = line.split()[0]
         if head == "vertices":
-            return parse_graph_text(text)
+            return _parse_graph_lines(lines)
         if head == "points":
             return _parse_instance_lines(lines, None)
         raise ValueError(f"unrecognized header {head!r}")

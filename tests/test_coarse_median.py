@@ -121,6 +121,50 @@ def test_fraction_metric_accepted():
     inst = CoarseMedianInstance(dist, path_median_mu(3, PATH3))
     assert inst.dist_int is None
     assert inst.rho(0, 1) == Fraction(1, 2)
+    assert inst.den == 2 and inst.nums.dtype == np.int32
+    assert inst.nums.tolist() == [[0, 1, 2], [1, 0, 2], [2, 2, 0]]
+    whole = CoarseMedianInstance(PATH3, path_median_mu(3, PATH3))
+    assert whole.dist_int is whole.nums and whole.den == 1
+    assert type(whole.rho(0, 2)) is int
+
+
+def test_metric_numerators_past_int32():
+    # a rational metric keeps Python ints; an integral one is refused
+    big = Fraction(2**70 + 1, 3)
+    inst = CoarseMedianInstance([[v * big for v in row] for row in PATH3],
+                                path_median_mu(3, PATH3))
+    assert inst.den == 3 and inst.nums.dtype == object
+    assert inst.rho(0, 2) == 2 * big
+    assert estimate_params(inst, budget=500).lam == 0
+    assert coarse_interval(inst, 0, 2, 0) == {0, 1, 2}
+    with pytest.raises(ValueError, match=r"d\(0,1\) = 2147483648 is outside the int32 range"):
+        CoarseMedianInstance([[v * 2**31 for v in row] for row in PATH3],
+                             path_median_mu(3, PATH3))
+
+
+@pytest.fixture(scope="module")
+def cg22():
+    inst = coarsened_grid(2, 2)
+    estimate_params(inst)
+    return inst
+
+
+# each call holds one id outside 0..12, which a numpy index would wrap
+# around: rho(-1, 0) read row 12, and the deep point search returned 12
+@pytest.mark.parametrize("call, name", [
+    (lambda cg: cg.rho(-1, 0), "i = -1"),
+    (lambda cg: cg.med(0, 13, 0), "j = 13"),
+    (lambda cg: coarse_interval(cg, 0, -1, 1), "b = -1"),
+    (lambda cg: check_lemma_6_2(cg, 0, 12, -1, 1), "x = -1"),
+    (lambda cg: check_lemma_6_5(cg, 0, 12, 0, -13, 1), "m = -13"),
+    (lambda cg: find_deep_point(cg, -1, 0, 1, 1, 0), "a = -1"),
+    (lambda cg: witness_sets_coarse(cg, -1, 0, 1, 1, 3), "basepoint = -1"),
+    (lambda cg: CoarseWitnessProvider(cg, 0).sets(13, 1, 1), "x = 13"),
+], ids=["rho", "med", "coarse_interval", "check_lemma_6_2", "check_lemma_6_5",
+        "find_deep_point", "witness_sets_coarse", "provider_sets"])
+def test_point_ids_outside_range_refused(cg22, call, name):
+    with pytest.raises(ValueError, match=f"point {name} out of range 0..12"):
+        call(cg22)
 
 
 def test_operation_defects_recorded():

@@ -211,15 +211,26 @@ def test_graph_from_list_and_array_agree():
 
 
 def test_instance_text_roundtrip():
-    inst = coarsened_grid(1, 1)
-    text = write_instance_text(inst)
-    back = parse_instance_text(text)
-    assert back.n == inst.n and back.d == inst.d
-    assert np.array_equal(back.mu, inst.mu)
-    for i in range(inst.n):
-        for j in range(inst.n):
-            assert back.rho(i, j) == inst.rho(i, j)
-    assert write_instance_text(back) == text
+    # integral, rational, and rational with numerators past int64
+    base = coarsened_grid(1, 1)
+    for scale in (1, Fraction(7, 3), Fraction(2**64 + 1, 7)):
+        inst = CoarseMedianInstance(base.dist_int * Fraction(scale), base.mu, d=base.d)
+        text = write_instance_text(inst)
+        back = parse_instance_text(text)
+        assert back.n == inst.n and back.d == inst.d
+        assert np.array_equal(back.mu, inst.mu)
+        assert back.den == inst.den and back.nums.dtype == inst.nums.dtype
+        for i in range(inst.n):
+            for j in range(inst.n):
+                assert back.rho(i, j) == inst.rho(i, j)
+        assert write_instance_text(back) == text
+
+
+def test_instance_reader_refuses_integral_distance_past_int32():
+    mu = "".join(f"m {i} {j} {k} 0\n" for i in range(2) for j in range(2) for k in range(2))
+    for v in (2**31, 2**63, 2**70):
+        with pytest.raises(ValueError, match=f"d\\(0,1\\) = {v} is outside the int32 range"):
+            parse_instance_text(f"points 2\nmetric explicit\nd 0 1 {v}\nmu explicit\n{mu}")
 
 
 def test_instance_from_graph_sections(grid3):
@@ -235,9 +246,9 @@ def test_instance_from_graph_sections(grid3):
         parse_instance_text(
             "points 2\nmetric explicit\nd 0 1 1\nmu explicit\nm 0 0 0 0\n"
         )
-    with pytest.raises(ValueError, match="missing distance"):
+    with pytest.raises(ValueError, match=r"missing distance for pair \(1,2\)"):
         parse_instance_text(
-            "points 3\nmetric explicit\nd 0 1 1\nd 0 2 1\n", graph=None
+            "points 3\nmetric explicit\nd 0 1 1\nd 2 0 1\n", graph=None
         )
 
 

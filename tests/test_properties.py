@@ -12,9 +12,11 @@ H0 from the sextuple sweep at every K of the grid, and gamma from every
 5-tuple.
 """
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,8 +32,12 @@ from mediancert.coarse_median import (
     _gamma_exhaustive,
     _h0_exhaustive,
     _slot_envelope,
+    check_lemma_6_2,
+    coarse_interval,
     estimate_params,
+    find_deep_point,
     from_median_graph,
+    l_constants,
     median_closure,
     verify_C2_exact,
 )
@@ -43,6 +49,7 @@ from mediancert.errors import (
     MedianViolation,
     NotCoarseMedian,
     NotMedian,
+    PreconditionViolation,
 )
 from mediancert.harness_cli import generate
 from mediancert.median_core import MedianGraph, VertexSet, majority_closure
@@ -561,14 +568,17 @@ def integer_metrics(draw, n):
     return d.tolist()
 
 
+INSTANCE_KINDS = ("random", "symmetric", "one-off", "slot", "constant", "graph")
+
+
 @st.composite
-def small_instances(draw):
+def small_instances(draw, kinds=INSTANCE_KINDS):
     """Random integer instances of 2..6 points.  The operation is random,
     random on sorted triples (symmetric), that with one entry changed,
     a map of one argument slot (the bare projection has single-argument
     defect 0 at K = 1), a constant, or the medians of a small median
     graph."""
-    kind = draw(st.sampled_from(["random", "symmetric", "one-off", "slot", "constant", "graph"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "graph":
         g = draw(st.sampled_from([
             generate("grid", [1, 2]), generate("tree", [2, 1]),
@@ -680,3 +690,165 @@ def test_h0_falls_back_only_when_one_slot_moves(monkeypatch):
     h0 = _h0_exhaustive(inst, Fraction(1), env)
     assert calls == [Fraction(1)]
     assert h0 == _defect_exhaustive(inst, Fraction(1)) > 0
+
+
+# -- the metric as numerators over one denominator ----------------------
+#
+# The references are the loops the interval calculus ran before the
+# metric became one integer table: one point and one Fraction at a time.
+
+
+def operation_defects_reference(inst):
+    tab = inst.mu
+    m1 = Fraction(0)
+    for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
+        other = tab.transpose(perm)
+        mism = tab != other
+        for a, b in zip(tab[mism].tolist(), other[mism].tolist()):
+            m1 = max(m1, Fraction(inst.rho(a, b)))
+    m2 = Fraction(0)
+    for a, b in itertools.product(range(inst.n), repeat=2):
+        m2 = max(m2, Fraction(inst.rho(inst.med(a, a, b), a)))
+    return m1, m2
+
+
+def coarse_interval_reference(inst, a, b, tau):
+    tau = Fraction(tau)
+    return frozenset(x for x in inst.points() if inst.rho(inst.med(a, b, x), x) <= tau)
+
+
+def lemma_6_2_reference(inst, a, b, x, r, l1):
+    """(ok, witness), or None where x is not lam-between a and b."""
+    if inst.rho(inst.med(a, b, x), x) > inst.params.lam:
+        return None
+    for z in inst.points():
+        if inst.rho(inst.med(a, x, z), z) <= Fraction(r) and inst.rho(inst.med(a, b, z), z) > l1:
+            return False, z
+    return True, None
+
+
+def deep_point_reference(inst, a, b, r, t, kappa):
+    if Fraction(r) <= 0 or Fraction(t) <= 0:
+        return None
+    cs = l_constants(inst.params, r, t, inst.d)
+    rt = Fraction(r) * Fraction(t)
+    cut = [
+        x for x in inst.points()
+        if inst.rho(a, x) <= rt and inst.rho(inst.med(a, b, x), x) <= Fraction(kappa)
+    ]
+    candidates = sorted(
+        (
+            h for h in inst.points()
+            if inst.rho(inst.med(a, b, h), h) <= cs.L1 and inst.rho(a, h) <= cs.L3
+        ),
+        key=lambda h: (inst.rho(a, h), h),
+    )
+    for h in candidates:
+        if all(inst.rho(inst.med(a, h, x), x) <= cs.L2 for x in cut):
+            return h
+    return None
+
+
+def sampled_fit_reference(inst, cap, budget, seed):
+    """(K, H0, gamma, lam) from the seeded samples, or None when no K
+    fits the cap."""
+    med, rho = inst.med, inst.rho
+    rows = np.random.default_rng(seed).integers(0, inst.n, size=(budget, 6)).tolist()
+    lhs = [rho(med(*r[:3]), med(*r[3:])) for r in rows]
+    rhs = [rho(r[0], r[3]) + rho(r[1], r[4]) + rho(r[2], r[5]) for r in rows]
+    fit = None
+    for k in K_GRID:
+        h0 = max(max(l - k * r for l, r in zip(lhs, rhs)), Fraction(0))
+        if cap is None or h0 <= cap:
+            fit = (k, h0)
+            break
+    if fit is None:
+        return None
+    fives = np.random.default_rng(seed ^ 0x5EED).integers(0, inst.n, size=(budget, 5)).tolist()
+    gamma = max(
+        Fraction(rho(med(x, y, med(z, v, w)), med(med(x, y, z), med(x, y, v), w)))
+        for x, y, z, v, w in fives
+    )
+    lam = Fraction(0)
+    for x, y, z in itertools.product(range(inst.n), repeat=3):
+        m = med(x, y, z)
+        lam = max(lam, Fraction(rho(med(x, y, m), m)))
+    return (*fit, gamma, lam)
+
+
+# integral, rational, and rational with numerators past int32 and past
+# int64 (held as Python ints)
+SCALES = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(7, 3),
+          Fraction(2**40 + 1, 3), Fraction(2**64 + 1, 7)]
+
+
+@st.composite
+def scaled_instances(draw, kinds=INSTANCE_KINDS):
+    base = draw(small_instances(kinds))
+    scale = draw(st.sampled_from(SCALES))
+    # distances with gcd 1, so that the table's denominator is the scale's
+    g = np.gcd.reduce(base.dist_int.ravel()).item()
+    dist = [[scale * (v // g) for v in row] for row in base.dist_int.tolist()]
+    inst = CoarseMedianInstance(dist, base.mu, d=base.d)
+    assert inst.den == scale.denominator
+    assert (inst.nums.dtype == object) == (scale.numerator >= 2**31)
+    return inst
+
+
+def thresholds(inst):
+    """A table value, where nums <= floor(q * den) holds with equality,
+    a value just off one, or any small fraction."""
+    pts = st.integers(0, inst.n - 1)
+    on = st.builds(inst.rho, pts, pts)
+    eps = Fraction(1, 2 * inst.den)
+    near = st.builds(lambda v, s: v + s * eps, on, st.sampled_from([-1, 1]))
+    top = int(inst.nums.max()) // inst.den + 1
+    return st.one_of(on, near, st.fractions(-1, top, max_denominator=3 * inst.den))
+
+
+@FIT_SETTINGS
+@given(inst=scaled_instances(kinds=("random", "one-off", "slot")))
+@example(inst=planted((2, 1, 0), 3))
+def test_operation_defects_match_loops(inst):
+    assert (inst.m1_defect, inst.m2_defect) == operation_defects_reference(inst)
+
+
+@FIT_SETTINGS
+@given(inst=scaled_instances(), data=st.data())
+def test_interval_calculus_matches_loops(inst, data):
+    estimate_params(inst, budget=500)
+    pts = st.integers(0, inst.n - 1)
+    a, b = data.draw(pts), data.draw(pts)
+    tau = data.draw(thresholds(inst))
+    assert coarse_interval(inst, a, b, tau) == coarse_interval_reference(inst, a, b, tau)
+    # x = mu(a, b, z) is lam-between a and b, by lam's definition
+    x = inst.med(a, b, data.draw(pts)) if data.draw(st.booleans()) else data.draw(pts)
+    r = data.draw(thresholds(inst))
+    # L1 as the fit gives it, or any threshold, which finds witnesses
+    cs = l_constants(inst.params, r, 1, inst.d)
+    if data.draw(st.booleans()):
+        cs = dataclasses.replace(cs, L1=data.draw(thresholds(inst)))
+    want = lemma_6_2_reference(inst, a, b, x, r, cs.L1)
+    if want is None:
+        with pytest.raises(PreconditionViolation):
+            check_lemma_6_2(inst, a, b, x, r, cs)
+    else:
+        assert check_lemma_6_2(inst, a, b, x, r, cs) == want
+    r, kappa = data.draw(thresholds(inst)), data.draw(thresholds(inst))
+    t = data.draw(st.sampled_from([1, 2, Fraction(1, 2), Fraction(3, 2)]))
+    assert find_deep_point(inst, a, b, r, t, kappa) == deep_point_reference(inst, a, b, r, t, kappa)
+
+
+@FIT_SETTINGS
+@given(inst=scaled_instances(), data=st.data(), seed=st.integers(0, 3))
+def test_sampled_fit_matches_loops(inst, data, seed):
+    cap = data.draw(st.one_of(st.none(), thresholds(inst)))
+    want = sampled_fit_reference(inst, cap, 300, seed)
+    # the sampled sweeps, whatever the size and the metric
+    with mock.patch.object(coarse_median, "EXHAUSTIVE_POINTS", 0):
+        if want is None:
+            with pytest.raises(NotCoarseMedian):
+                estimate_params(inst, budget=300, seed=seed, h0_cap=cap)
+            return
+        p = estimate_params(inst, budget=300, seed=seed, h0_cap=cap)
+    assert (p.K, p.H0, p.gamma, p.lam) == want
