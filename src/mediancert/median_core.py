@@ -34,10 +34,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import deque
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import BudgetExceeded, MedianViolation, NotFound, ReductionFailure
 
@@ -190,11 +189,20 @@ def _all_bits(n: int) -> np.ndarray:
     return full
 
 
-def _adjacency(ends: np.ndarray, n: int, dtype) -> csr_array:
-    """The adjacency matrix of the edges (u, v) in ``ends``, both ways."""
-    src, dst = ends.T.ravel(), ends[:, ::-1].T.ravel()
-    row_ends = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
-    return csr_array((np.ones(len(src), dtype=dtype), dst[np.argsort(src)], row_ends), shape=(n, n))
+def _levels(indptr: np.ndarray, nbr: np.ndarray) -> np.ndarray:
+    """Breadth-first distance of each vertex from 0; -1 where none."""
+    ptr, nbr = indptr.tolist(), nbr.tolist()
+    level = [-1] * (len(ptr) - 1)
+    level[0] = 0
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        step = level[v] + 1
+        for u in nbr[ptr[v]:ptr[v + 1]]:
+            if level[u] < 0:
+                level[u] = step
+                queue.append(u)
+    return np.array(level, dtype=np.intp)
 
 
 def _bit_of(rows: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -481,23 +489,41 @@ class MedianGraph:
         self._rank: int | None = None
 
     @functools.cached_property
+    def _neighbours(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, nbr): the neighbours of v, in increasing order, are
+        ``nbr[indptr[v]:indptr[v + 1]]``; the one layout that the search,
+        the square check and ``adj`` read.  ``edge_array`` rows are
+        sorted with u < v, so a stable sort on the source puts each
+        vertex's smaller neighbours (its rows as v) before its larger."""
+        src, dst = self.edge_array[:, ::-1].T.ravel(), self.edge_array.T.ravel()
+        indptr = np.zeros(self.n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
+        return indptr, dst[np.argsort(src, kind="stable")]
+
+    @functools.cached_property
     def adj(self) -> list[list[int]]:
         """Sorted neighbour lists, built on first use."""
-        src, dst = np.r_[self.edge_array, self.edge_array[:, ::-1]].T
-        dst = dst[np.lexsort((dst, src))]
-        return [nbrs.tolist() for nbrs in np.split(dst, np.cumsum(np.bincount(src, minlength=self.n))[:-1])]
+        indptr, nbr = self._neighbours
+        ptr, nbr = indptr.tolist(), nbr.tolist()
+        return [nbr[a:b] for a, b in zip(ptr, ptr[1:])]
 
     def _all_pairs(self) -> np.ndarray:
         """The distance table; the wall codes too when they come with it."""
-        # float64 weights, the type scipy's searches take without a copy
-        g = _adjacency(self.edge_array, self.n, np.float64)
-        level = dijkstra(g, unweighted=True, indices=0)
-        if np.isinf(level).any():
+        level = _levels(*self._neighbours)
+        if (level < 0).any():
             raise ValueError("graph is not connected")
-        found = _single_search_codes(self.edge_array, level.astype(np.intp))
+        found = _single_search_codes(self.edge_array, level)
         if found is not None:
             self._codes, dist = found
             return dist
+        # a graph the single search refuses gets scipy's search from every
+        # vertex; scipy is imported here only, off the median-graph path
+        from scipy.sparse import csr_array
+        from scipy.sparse.csgraph import dijkstra
+
+        indptr, nbr = self._neighbours
+        # float64 weights, the type scipy's searches take without a copy
+        g = csr_array((np.ones(len(nbr)), nbr, indptr), shape=(self.n, self.n))
         # row blocks: scipy's float64 rows are never all held at once
         dist = np.empty((self.n, self.n), dtype=np.int32)
         step = max(1, _BLOCK_WORDS // self.n)
@@ -661,21 +687,29 @@ class MedianGraph:
         majority a vertex exactly when no u lies in the fourth quadrant
         of walls i and j, that is, when i and j do not cross (the other
         three quadrants hold v, w and their neighbour).  The graph is
-        bipartite, so its pairs at distance 2 are the off-diagonal
-        entries of the square of its adjacency matrix, each entry the
-        number of common neighbours; each block of rows tests its
-        distinct wall pairs once."""
+        bipartite, so its pairs v < w at distance 2 are the ends of the
+        2-walks v, u, w with w > v, one walk per common neighbour; each
+        block of rows v sorts the keys v·n + w, keeps the runs of one,
+        and tests their distinct wall pairs once."""
         n, words = self.n, len(codes.planes)
-        adj = _adjacency(self.edge_array, n, np.int32)
-        # rows per block: entries of the square times code words, about _BLOCK_WORDS
-        work = np.cumsum(adj @ np.diff(adj.indptr)) * words
-        cuts = np.searchsorted(work, np.arange(1, -(-int(work[-1]) // _BLOCK_WORDS)) * _BLOCK_WORDS)
+        indptr, nbr = self._neighbours
+        deg = np.diff(indptr)
+        # rows per block: 2-walks times code words, about _BLOCK_WORDS
+        work = np.concatenate([[0], np.cumsum(deg[nbr])])[indptr[1:]] * words
+        blocks = -(-int(work[-1]) // _BLOCK_WORDS)
+        cuts = [0, *np.searchsorted(work, np.arange(1, blocks) * _BLOCK_WORDS).tolist(), n]
         half, full = codes.halves(), _all_bits(n)
-        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, n]):
-            two = (adj if hi - lo == n else adj[lo:hi]) @ adj  # a slice copies
-            row = np.repeat(np.arange(lo, hi), np.diff(two.indptr))
-            one = (two.data == 1) & (row < two.indices)
-            apart = codes.planes[:, row[one]] ^ codes.planes[:, two.indices[one]]
+        for lo, hi in zip(cuts, cuts[1:]):
+            # the 2-walks v, u, w from the rows v in lo..hi-1
+            mid = nbr[indptr[lo]:indptr[hi]]
+            count = deg[mid]
+            at = np.repeat(indptr[mid] - np.cumsum(count) + count, count) + np.arange(count.sum())
+            v, w = np.repeat(np.repeat(np.arange(lo, hi), deg[lo:hi]), count), nbr[at]
+            later = w > v
+            key = np.sort(v[later] * n + w[later])
+            run = np.diff(key, prepend=-1, append=-1) != 0
+            row, col = np.divmod(key[run[:-1] & run[1:]], n)  # one common neighbour
+            apart = codes.planes[:, row] ^ codes.planes[:, col]
             # the two walls apart: i in the first nonzero word, j in the last
             nonzero = apart != 0
             first, last = nonzero.argmax(axis=0), words - 1 - nonzero[::-1].argmax(axis=0)

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -582,6 +583,66 @@ def test_cli_validate_above_table_limit(tmp_path):
         and d[z, m] + d[m, x] == d[z, x]
         for m in range(300)
     )
+
+
+# Runs the commands in one fresh interpreter: median graphs first, then
+# the graphs the single search refuses.  Prints each (exit code,
+# stdout) and the scipy modules loaded after each of the two rounds.
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+from mediancert.harness_cli import main
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+rounds = json.loads(sys.argv[1])
+print(json.dumps([([run(argv) for argv in r], scipy_modules()) for r in rounds]))
+"""
+
+
+def test_scipy_loads_only_for_the_all_pairs_fallback(tmp_path):
+    grid, tri, c8 = (str(tmp_path / f"{name}.graph") for name in ("grid", "tri", "c8"))
+    (tmp_path / "tri.graph").write_text(write_graph_text(MedianGraph(3, [(0, 1), (1, 2), (0, 2)])))
+    (tmp_path / "c8.graph").write_text(write_graph_text(MedianGraph(8, [(i, (i + 1) % 8) for i in range(8)])))
+    median = [
+        ["gen", "grid", "3", "3", "--output", grid],
+        ["validate", "--input", grid],
+        ["rank", "--input", grid],
+        ["ncp", "--input", grid, "--from", "0", "--to", "15"],
+        ["propa", "--input", grid, "--n", "2", "--m", "1"],
+        ["coarse-check", "--input", grid],
+    ]
+    fallback = [[cmd, "--input", path, *extra] for path in (tri, c8)
+                for cmd, *extra in (["validate"], ["rank"], ["ncp", "--from", "0", "--to", "2"])]
+    src = str(Path(harness_cli.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps([median, fallback])],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    (median_runs, median_scipy), (fallback_runs, fallback_scipy) = json.loads(done.stdout)
+    assert [code for code, _ in median_runs] == [0] * len(median)
+    assert median_scipy == []
+    odd = {"edge": [1, 2], "error": "wall-structure", "message": "graph has an odd cycle"}
+    want = [
+        (1, {"edges": 3, "input": tri, "kind": "graph", "median": False, "vertices": 3,
+             "witness": {"candidates": [], "error": "unique-median",
+                         "message": "triple (0,1,2) has 0 geodesic meeting points", "triple": [0, 1, 2]}}),
+        (1, odd),
+        (1, odd),
+        (1, {"edges": 8, "input": c8, "kind": "graph", "median": False, "vertices": 8,
+             "witness": {"candidates": [], "error": "unique-median",
+                         "message": "triple (0,2,5) has 0 geodesic meeting points", "triple": [0, 2, 5]}}),
+        (0, 4),
+        (0, {"distance": 2, "from": 0, "length": 2, "steps": [[0], [2]], "to": 2, "vertices": [0, 1, 2]}),
+    ]
+    assert [(code, json.loads(out)) for code, out in fallback_runs] == want
+    assert "scipy.sparse.csgraph" in fallback_scipy
 
 
 def test_cli_hyperplanes_and_rank(grid3_file, tmp_path, capsys):

@@ -26,7 +26,7 @@ from mediancert.median_core import (
     reduce_generators,
 )
 from mediancert.cube_complex import hyperplanes, rank
-from mediancert.harness_cli import generate
+from mediancert.harness_cli import generate, is_median_graph
 
 
 def brute_median_candidates(g, x, y, z):
@@ -711,12 +711,62 @@ def trees_with_a_cycle(draw):
     return MedianGraph(n + k - 1, edges + [(cycle[i - 1], cycle[i]) for i in range(k)])
 
 
+@st.composite
+def trees_with_a_hub(draw):
+    """A star of up to 60 leaves with a random tree hung on it, and at
+    times an even cycle glued on at the hub, relabelled at random: one
+    vertex of high degree, where most pairs at distance 2 meet."""
+    rng = draw(st.randoms(use_true_random=False))
+    leaves, rest = draw(st.integers(2, 60)), draw(st.integers(0, 30))
+    n = leaves + 1 + rest
+    edges = [(0, v) for v in range(1, leaves + 1)] + [(rng.randrange(v), v) for v in range(leaves + 1, n)]
+    k = draw(st.sampled_from([0, 4, 6, 8]))
+    if k:
+        cycle = [0, *range(n, n + k - 1)]
+        edges += [(cycle[i - 1], cycle[i]) for i in range(k)]
+        n += k - 1
+    label = rng.sample(range(n), n)
+    return MedianGraph(n, [(label[u], label[v]) for u, v in edges])
+
+
 @SETTINGS
-@given(g=st.one_of(one_word_median_graphs(), graphs_without_gates(), closures_less_vertices(), trees_with_a_cycle()))
+@given(g=st.one_of(one_word_median_graphs(), graphs_without_gates(), closures_less_vertices(),
+                   trees_with_a_cycle(), trees_with_a_hub()))
 def test_square_check_matches_reference(g):
     codes = g.wall_codes()
     assume(codes is not None)
     assert g._squares_close(codes) == squares_close_reference(g, codes)
+
+
+@pytest.mark.parametrize("label, g", [
+    ("star 40", generate("tree", [40, 1])),
+    ("tree 3 3", generate("tree", [3, 3])),
+    ("grid 6x6", generate("grid", [6, 6])),
+    ("hypercube 5", generate("hypercube", [5])),
+    ("cycle 8", MedianGraph(8, [(i, (i + 1) % 8) for i in range(8)])),
+    ("star 30 + cycle 6", MedianGraph(35, [(0, v) for v in range(1, 31)] + [(0, 31), (31, 32), (32, 33), (33, 34), (34, 30)])),
+])
+def test_square_check_in_row_blocks_matches_reference(label, g, monkeypatch):
+    # a budget of a few 2-walks per block cuts many blocks, some holding
+    # a single row v
+    codes = g.wall_codes()
+    want = squares_close_reference(g, codes)
+    for budget in (1, 7, 64):
+        monkeypatch.setattr(median_core, "_BLOCK_WORDS", budget)
+        assert g._squares_close(codes) == want, budget
+
+
+def test_square_check_on_a_star_fits_in_128_mib():
+    # 2,047 leaves: 2.1 million pairs at distance 2, each with one common
+    # neighbour, enumerated in row blocks beside the 16 MiB table
+    tracemalloc.start()
+    try:
+        found = is_median_graph(generate("tree", [2047, 1]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found == (True, None)
+    assert peak < 128 * 2**20, peak
 
 
 def test_fallback_table_fills_in_row_blocks():
