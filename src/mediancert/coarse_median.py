@@ -40,12 +40,22 @@ from .errors import (
     NotFound,
     PreconditionViolation,
 )
-from .median_core import MedianGraph, VertexSet, majority_closure
+from .median_core import MedianGraph, VertexSet, grid, majority_closure
 
 INSTANCE_LIMIT = 160
 K_GRID = [Fraction(4 + i, 4) for i in range(29)]  # 1, 1.25, ..., 8
 EXHAUSTIVE_POINTS = 40
 CLOSURE_CAP = 512
+
+
+def _refuse_above_limit(n: int) -> None:
+    """The refusal above INSTANCE_LIMIT points, from a point count known
+    before any table is built.  A count of 2^64 or more stands for any
+    larger one."""
+    if n > INSTANCE_LIMIT:
+        raise BudgetExceeded(
+            f"instance above {INSTANCE_LIMIT} points", n=n if n < 1 << 64 else "2^64 or more"
+        )
 
 
 def _ceil_frac(x: Fraction) -> int:
@@ -103,8 +113,7 @@ class CoarseMedianInstance:
             raise ValueError(f"rank {d} is below 0")
         self.mu = np.asarray(mu, dtype=np.int32)
         self.n = self.mu.shape[0]
-        if self.n > INSTANCE_LIMIT:
-            raise BudgetExceeded(f"instance above {INSTANCE_LIMIT} points", n=self.n)
+        _refuse_above_limit(self.n)
         if self.mu.shape != (self.n, self.n, self.n):
             raise ValueError("operation table must be cubic")
         if self.mu.min() < 0 or self.mu.max() >= self.n:
@@ -639,7 +648,10 @@ def discover_deep_scale(inst: CoarseMedianInstance, t: int, pairs,
 
 
 def from_median_graph(g: MedianGraph) -> CoarseMedianInstance:
-    """Exact instance: graph metric, graph medians, identity rounding."""
+    """Exact instance: graph metric, graph medians, identity rounding;
+    refused above INSTANCE_LIMIT points before the n^3 median table is
+    built."""
+    _refuse_above_limit(g.n)
     return CoarseMedianInstance(
         g.dist,
         g.median_table(),
@@ -657,11 +669,7 @@ def coarsened_grid(w: int, h: int) -> CoarseMedianInstance:
     coordinates.  Rounding makes the defects genuinely nonzero.  Refused
     above INSTANCE_LIMIT points from w and h, before any table is built."""
     cols, rows = 2 * w + 1, 2 * h + 1
-    n = (max(cols, 0) * max(rows, 0) + 1) // 2
-    if n > INSTANCE_LIMIT:
-        raise BudgetExceeded(
-            f"instance above {INSTANCE_LIMIT} points", n=n if n < 1 << 64 else "2^64 or more"
-        )
+    _refuse_above_limit((max(cols, 0) * max(rows, 0) + 1) // 2)
     coords = [(i, j) for i in range(cols) for j in range(rows) if (i + j) % 2 == 0]
     index = {c: p for p, c in enumerate(coords)}
 
@@ -691,17 +699,9 @@ def coarsened_grid(w: int, h: int) -> CoarseMedianInstance:
     cj = np.array([c[1] for c in coords], dtype=np.int64)
     dist = np.abs(ci[:, None] - ci) + np.abs(cj[:, None] - cj)
     mu = round_amb[med3(ci) * rows + med3(cj)].astype(np.int32)
-    ambient_edges = []
-    for i in range(cols):
-        for j in range(rows):
-            if i + 1 < cols:
-                ambient_edges.append((i * rows + j, (i + 1) * rows + j))
-            if j + 1 < rows:
-                ambient_edges.append((i * rows + j, i * rows + j + 1))
-    ambient = MedianGraph(cols * rows, ambient_edges)
     return CoarseMedianInstance(
         dist, mu, d=2,
-        ambient=ambient,
+        ambient=grid(2 * w, 2 * h),
         point_to_ambient=[i * rows + j for i, j in coords],
         round_to_point=round_amb,
     )

@@ -25,7 +25,6 @@ import os
 import random
 import sys
 import tempfile
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -48,7 +47,13 @@ from .errors import (
     MedianCertError,
     MedianViolation,
 )
-from .median_core import _MASK64, VERTEX_LIMIT, MedianGraph, majority_closure
+from .median_core import (
+    _MASK64,
+    MedianGraph,
+    grid,
+    majority_closure,
+    refuse_above_vertex_limit,
+)
 from .propa_engine import (
     CSV_HEADER,
     Cat0WitnessProvider,
@@ -56,25 +61,11 @@ from .propa_engine import (
     eligible_sample,
 )
 
-GRAPH_KINDS = ("hypercube", "grid", "tree", "staircase", "median-closure")
-
-
 # -- generators --------------------------------------------------------
 
 
-def _refuse_above_limit(count: int) -> None:
-    """MedianGraph's refusal above VERTEX_LIMIT, from a vertex count
-    computed before any edge is listed.  A count of 2^64 or more stands
-    for any larger one: generators pass such counts capped."""
-    if count > VERTEX_LIMIT:
-        raise BudgetExceeded(
-            f"distance table disabled above {VERTEX_LIMIT} vertices",
-            n=count if count < 1 << 64 else "2^64 or more",
-        )
-
-
 def _hypercube(d: int) -> MedianGraph:
-    _refuse_above_limit(1 << min(d, 64))
+    refuse_above_vertex_limit(1 << min(d, 64))
     edges = [
         (v, v | (1 << i))
         for v in range(1 << d)
@@ -84,20 +75,6 @@ def _hypercube(d: int) -> MedianGraph:
     return MedianGraph(1 << d, edges)
 
 
-def _grid(w: int, h: int) -> MedianGraph:
-    # w and h count edges per side, so the grid has (w+1)*(h+1) vertices
-    cols, rows = w + 1, h + 1
-    _refuse_above_limit(cols * rows)
-    edges = []
-    for i in range(cols):
-        for j in range(rows):
-            if i + 1 < cols:
-                edges.append((i * rows + j, (i + 1) * rows + j))
-            if j + 1 < rows:
-                edges.append((i * rows + j, i * rows + j + 1))
-    return MedianGraph(cols * rows, edges)
-
-
 def _tree(branching: int, depth: int) -> MedianGraph:
     if branching < 1:
         raise ValueError("branching must be at least 1")
@@ -105,24 +82,15 @@ def _tree(branching: int, depth: int) -> MedianGraph:
     count = max(depth, 0) + 1
     if branching > 1:
         count = (branching ** min(count, 65) - 1) // (branching - 1)
-    _refuse_above_limit(count)
-    edges = []
-    frontier = [0]
-    nxt = 1
-    for _ in range(depth):
-        grown = []
-        for parent in frontier:
-            for _ in range(branching):
-                edges.append((parent, nxt))
-                grown.append(nxt)
-                nxt += 1
-        frontier = grown
-    return MedianGraph(nxt, edges)
+    refuse_above_vertex_limit(count)
+    # ids in breadth-first order: the parent of vertex v > 0 is (v-1) // b
+    child = np.arange(1, count)
+    return MedianGraph(count, np.column_stack([(child - 1) // branching, child]))
 
 
 def _staircase(n: int) -> MedianGraph:
     # n unit squares glued corner to corner along a diagonal
-    _refuse_above_limit(3 * n + 1)
+    refuse_above_vertex_limit(3 * n + 1)
     edges = []
     for k in range(n):
         a = 3 * k
@@ -130,11 +98,19 @@ def _staircase(n: int) -> MedianGraph:
     return MedianGraph(3 * n + 1, edges)
 
 
-def _closure_graph(n_pts: int, d: int, seed: int, cap: int = 4096) -> MedianGraph:
+# the most points a median-closure sample or closure may hold
+_CLOSURE_POINTS = 4096
+
+
+def _closure_graph(n_pts: int, d: int, seed: int) -> MedianGraph:
     """Sample n_pts hypercube vertices, close under bitwise majority,
     take the induced subgraph.  Retries seeds that land on a
-    disconnected or degenerate induced graph.  More distinct sample
-    points than ``cap`` are refused before any is drawn."""
+    disconnected or degenerate induced graph.  An empty sample, or more
+    distinct sample points than _CLOSURE_POINTS, is refused before any
+    is drawn."""
+    if n_pts < 1:
+        raise ValueError("k must be at least 1")
+    cap = _CLOSURE_POINTS
     if n_pts > cap and d >= cap.bit_length():  # min(n_pts, 2^d) > cap
         raise BudgetExceeded("sample above the closure cap", points=n_pts, dim=d, cap=cap)
     rng = random.Random(seed)
@@ -170,9 +146,15 @@ def _closure_graph(n_pts: int, d: int, seed: int, cap: int = 4096) -> MedianGrap
     )
 
 
-_PARAM_NAMES = {
-    "hypercube": ("d",), "grid": ("w", "h"), "tree": ("branching", "depth"),
-    "staircase": ("n",), "median-closure": ("k", "d"), "coarse-grid": ("w", "h"),
+# each gen kind: its parameter names, and its builder of the parameters
+# and the seed, which only median-closure reads
+GENERATORS = {
+    "hypercube": (("d",), lambda d, seed: _hypercube(d)),
+    "grid": (("w", "h"), lambda w, h, seed: grid(w, h)),
+    "tree": (("branching", "depth"), lambda b, depth, seed: _tree(b, depth)),
+    "staircase": (("n",), lambda n, seed: _staircase(n)),
+    "median-closure": (("k", "d"), _closure_graph),
+    "coarse-grid": (("w", "h"), lambda w, h, seed: coarsened_grid(w, h)),
 }
 
 
@@ -180,7 +162,7 @@ def _generator_params(kind: str, params) -> list[int]:
     """The parameters of a generator kind as ints; ValueError on a wrong
     count, or naming the first negative one."""
     p = [int(v) for v in params]
-    names = _PARAM_NAMES[kind]
+    names = GENERATORS[kind][0]
     if len(p) != len(names):
         raise ValueError(f"{kind} takes {len(names)} parameter(s)")
     for name, v in zip(names, p):
@@ -189,21 +171,13 @@ def _generator_params(kind: str, params) -> list[int]:
     return p
 
 
-def generate(kind: str, params, seed: int = 0) -> MedianGraph:
-    """Deterministic generator for the five graph kinds; only
-    median-closure consumes the seed."""
-    if kind not in GRAPH_KINDS:
+def generate(kind: str, params, seed: int = 0) -> MedianGraph | CoarseMedianInstance:
+    """Deterministic generator for each kind in GENERATORS: an instance
+    for coarse-grid, else a graph; only median-closure consumes the
+    seed."""
+    if kind not in GENERATORS:
         raise ValueError(f"unknown kind {kind!r}")
-    p = _generator_params(kind, params)
-    if kind == "hypercube":
-        return _hypercube(p[0])
-    if kind == "grid":
-        return _grid(p[0], p[1])
-    if kind == "tree":
-        return _tree(p[0], p[1])
-    if kind == "staircase":
-        return _staircase(p[0])
-    return _closure_graph(p[0], p[1], seed)
+    return GENERATORS[kind][1](*_generator_params(kind, params), seed)
 
 
 def is_median_graph(g: MedianGraph):
@@ -512,43 +486,11 @@ def _dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, default=str) + "\n"
 
 
-def _emit(cfg: "RunConfig", text: str) -> None:
-    if cfg.output:
-        _write_atomic(cfg.output, text)
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.output:
+        _write_atomic(args.output, text)
     else:
         sys.stdout.write(text)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input: str | None = None
-    output: str | None = None
-    seed: int = 0
-    budget: int = 200_000
-    sample: int | None = None
-    basepoint: int = 0
-    n_list: list[int] = field(default_factory=lambda: [2, 4])
-    m_list: list[int] = field(default_factory=lambda: [1])
-    provider: str = "cat0"
-    t: int = 1
-    r: int | None = None
-    src: int = 0
-    dst: int = 0
-    kind: str | None = None
-    params: list[int] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
-        if min(self.n_list + self.m_list, default=1) < 1:
-            raise ValueError("--n and --m entries must be at least 1")
-        if self.sample is not None and self.sample <= 0:
-            raise ValueError("sample must be positive")
-        if self.t < 1:
-            raise ValueError(f"--t {self.t} is below 1")
-        if self.r is not None and self.r < 1:
-            raise ValueError(f"--r {self.r} is below 1")
 
 
 def _check_vertex(flag: str, v: int, n: int) -> None:
@@ -571,22 +513,19 @@ def _as_instance(obj) -> CoarseMedianInstance:
 # -- subcommands -------------------------------------------------------
 
 
-def cmd_gen(cfg: RunConfig) -> int:
-    if cfg.kind == "coarse-grid":
-        inst = coarsened_grid(*_generator_params(cfg.kind, cfg.params))
-        _emit(cfg, write_instance_text(inst))
-        return 0
-    g = generate(cfg.kind, cfg.params, cfg.seed)
-    _emit(cfg, write_graph_text(g))
+def cmd_gen(args: argparse.Namespace) -> int:
+    built = generate(args.kind, args.params, args.seed)
+    write = write_instance_text if isinstance(built, CoarseMedianInstance) else write_graph_text
+    _emit(args, write(built))
     return 0
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    obj = load_input(cfg.input)
+def cmd_validate(args: argparse.Namespace) -> int:
+    obj = load_input(args.input)
     if isinstance(obj, MedianGraph):
         ok, witness = is_median_graph(obj)
         payload = {
-            "input": cfg.input,
+            "input": args.input,
             "kind": "graph",
             "vertices": obj.n,
             "edges": len(obj.edges),
@@ -594,22 +533,22 @@ def cmd_validate(cfg: RunConfig) -> int:
         }
         if not ok:
             payload["witness"] = witness
-        _emit(cfg, _dump(payload))
+        _emit(args, _dump(payload))
         return 0 if ok else 1
     payload = {
-        "input": cfg.input,
+        "input": args.input,
         "kind": "instance",
         "points": obj.n,
         "rank_bound": obj.d,
         "m1_defect": _frac_str(obj.m1_defect),
         "m2_defect": _frac_str(obj.m2_defect),
     }
-    _emit(cfg, _dump(payload))
+    _emit(args, _dump(payload))
     return 0
 
 
-def cmd_hyperplanes(cfg: RunConfig) -> int:
-    g = _require_graph(load_input(cfg.input))
+def cmd_hyperplanes(args: argparse.Namespace) -> int:
+    g = _require_graph(load_input(args.input))
     walls = hyperplanes(g)
     payload = {
         "count": len(walls),
@@ -623,62 +562,59 @@ def cmd_hyperplanes(cfg: RunConfig) -> int:
             for w in walls
         ],
     }
-    _emit(cfg, _dump(payload))
+    _emit(args, _dump(payload))
     return 0
 
 
-def cmd_rank(cfg: RunConfig) -> int:
-    g = _require_graph(load_input(cfg.input))
+def cmd_rank(args: argparse.Namespace) -> int:
+    g = _require_graph(load_input(args.input))
     r = rank(g)
-    if cfg.output:
-        _write_atomic(cfg.output, _dump({"rank": r}))
+    if args.output:
+        _write_atomic(args.output, _dump({"rank": r}))
     print(r)
     return 0
 
 
-def cmd_ncp(cfg: RunConfig) -> int:
-    g = _require_graph(load_input(cfg.input))
-    _check_vertex("--from", cfg.src, g.n)
-    _check_vertex("--to", cfg.dst, g.n)
+def cmd_ncp(args: argparse.Namespace) -> int:
+    g = _require_graph(load_input(args.input))
+    _check_vertex("--from", args.src, g.n)
+    _check_vertex("--to", args.dst, g.n)
     # each step crosses walls that still separate its start from the
     # target, so the steps partition the separating walls
-    path = normal_cube_path(g, cfg.src, cfg.dst)
+    path = normal_cube_path(g, args.src, args.dst)
     payload = {
-        "from": cfg.src,
-        "to": cfg.dst,
+        "from": args.src,
+        "to": args.dst,
         "length": len(path),
-        "distance": g.distance(cfg.src, cfg.dst),
+        "distance": g.distance(args.src, args.dst),
         "vertices": list(path.vertices),
         "steps": [sorted(s) for s in path.steps],
     }
-    _emit(cfg, _dump(payload))
+    _emit(args, _dump(payload))
     return 0
 
 
-def cmd_propa(cfg: RunConfig) -> int:
-    obj = load_input(cfg.input)
-    if cfg.provider == "cat0":
-        g = _require_graph(obj)
-        if not 0 <= cfg.basepoint < g.n:
-            raise ValueError("basepoint out of range")
-        provider = Cat0WitnessProvider(g, cfg.basepoint)
+def cmd_propa(args: argparse.Namespace) -> int:
+    obj = load_input(args.input)
+    space = _require_graph(obj) if args.provider == "cat0" else _as_instance(obj)
+    if not 0 <= args.basepoint < space.n:
+        raise ValueError("basepoint out of range")
+    if args.provider == "cat0":
+        provider = Cat0WitnessProvider(space, args.basepoint)
     else:
-        inst = _as_instance(obj)
-        if not 0 <= cfg.basepoint < inst.n:
-            raise ValueError("basepoint out of range")
         provider = CoarseWitnessProvider(
-            inst, cfg.basepoint, t=cfg.t, r_floor=cfg.r or 0
+            space, args.basepoint, t=args.t, r_floor=args.r or 0
         )
     sample = eligible_sample(
-        provider, max(cfg.n_list), limit=cfg.sample, seed=cfg.seed
+        provider, max(args.n_list), limit=args.sample, seed=args.seed
     )
     certs = []
-    for n in cfg.n_list:
-        certs.extend(certify(provider, [n], cfg.m_list, sample))
+    for n in args.n_list:
+        certs.extend(certify(provider, [n], args.m_list, sample))
     payload = {
-        "input": cfg.input,
+        "input": args.input,
         "provider": provider.name,
-        "basepoint": cfg.basepoint,
+        "basepoint": args.basepoint,
         "sample_size": len(sample),
         "certificates": [c.to_json_dict() for c in certs],
     }
@@ -687,9 +623,9 @@ def cmd_propa(cfg: RunConfig) -> int:
     writer.writerow(CSV_HEADER)
     for c in certs:
         writer.writerows(c.csv_rows())
-    if cfg.output:
-        _write_atomic(cfg.output + ".json", _dump(payload))
-        _write_atomic(cfg.output + ".csv", buf.getvalue())
+    if args.output:
+        _write_atomic(args.output + ".json", _dump(payload))
+        _write_atomic(args.output + ".csv", buf.getvalue())
     else:
         sys.stdout.write(_dump(payload))
     return 0
@@ -737,13 +673,13 @@ def _lemma_sweeps(inst: CoarseMedianInstance, samples: int, seed: int) -> dict:
     }
 
 
-def cmd_coarse_check(cfg: RunConfig) -> int:
-    inst = _as_instance(load_input(cfg.input))
+def cmd_coarse_check(args: argparse.Namespace) -> int:
+    inst = _as_instance(load_input(args.input))
     params = coarse_median.estimate_params(
-        inst, budget=cfg.budget, seed=cfg.seed
+        inst, budget=args.budget, seed=args.seed
     )
     payload = {
-        "input": cfg.input,
+        "input": args.input,
         "points": inst.n,
         "rank_bound": inst.d,
         "K": _frac_str(params.K),
@@ -754,7 +690,7 @@ def cmd_coarse_check(cfg: RunConfig) -> int:
         "m2_defect": _frac_str(inst.m2_defect),
     }
     ok = True
-    h5 = measured_h5(inst, samples=min(cfg.sample or 40, 200), seed=cfg.seed)
+    h5 = measured_h5(inst, samples=min(args.sample or 40, 200), seed=args.seed)
     if h5 is not None:
         formula = 3 * params.K * (3 * params.K + 2) * h5 \
             + (3 * params.K + 2) * params.H0
@@ -762,42 +698,42 @@ def cmd_coarse_check(cfg: RunConfig) -> int:
         payload["gamma_formula"] = _frac_str(formula)
         payload["gamma_dominated"] = params.gamma <= formula
         ok = ok and params.gamma <= formula
-    sweeps = _lemma_sweeps(inst, samples=cfg.sample or 200, seed=cfg.seed)
+    sweeps = _lemma_sweeps(inst, samples=args.sample or 200, seed=args.seed)
     payload["sweeps"] = sweeps
     ok = ok and all(v["violations"] == 0 for v in sweeps.values())
     payload["ok"] = ok
-    _emit(cfg, _dump(payload))
+    _emit(args, _dump(payload))
     return 0 if ok else 1
 
 
-def cmd_deep_point(cfg: RunConfig) -> int:
-    inst = _as_instance(load_input(cfg.input))
-    _check_vertex("--from", cfg.src, inst.n)
-    _check_vertex("--to", cfg.dst, inst.n)
+def cmd_deep_point(args: argparse.Namespace) -> int:
+    inst = _as_instance(load_input(args.input))
+    _check_vertex("--from", args.src, inst.n)
+    _check_vertex("--to", args.dst, inst.n)
     if inst.params is None:
-        coarse_median.estimate_params(inst, budget=cfg.budget, seed=cfg.seed)
+        coarse_median.estimate_params(inst, budget=args.budget, seed=args.seed)
     params = inst.params
-    scales = [cfg.r] if cfg.r is not None else list(range(1, 17))
+    scales = [args.r] if args.r is not None else list(range(1, 17))
     found = None
     used = None
     for r in scales:
-        h = find_deep_point(inst, cfg.src, cfg.dst, r, cfg.t, params.lam)
+        h = find_deep_point(inst, args.src, args.dst, r, args.t, params.lam)
         if h is not None:
             found, used = h, r
             break
     payload = {
-        "from": cfg.src,
-        "to": cfg.dst,
-        "t": cfg.t,
+        "from": args.src,
+        "to": args.dst,
+        "t": args.t,
         "scales_tried": scales if found is None else scales[: scales.index(used) + 1],
         "r": used,
         "deep_point": found,
     }
     if found is not None:
-        cs = l_constants(params, used, cfg.t, inst.d)
-        payload["distance_from_source"] = _frac_str(Fraction(inst.rho(cfg.src, found)))
+        cs = l_constants(params, used, args.t, inst.d)
+        payload["distance_from_source"] = _frac_str(Fraction(inst.rho(args.src, found)))
         payload["l3"] = _frac_str(cs.L3)
-    _emit(cfg, _dump(payload))
+    _emit(args, _dump(payload))
     return 0 if found is not None else 1
 
 
@@ -840,8 +776,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--budget", type=int, default=200_000)
 
+    def scale(sp):
+        sp.add_argument("--t", type=int, default=1)
+        sp.add_argument("--r", type=int)
+
     sp = sub.add_parser("gen", help="write a generated graph or instance")
-    sp.add_argument("kind", choices=GRAPH_KINDS + ("coarse-grid",))
+    sp.add_argument("kind", choices=GENERATORS)
     sp.add_argument("params", type=int, nargs="*")
     common(sp, needs_input=False)
 
@@ -860,8 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", dest="n_list", type=_int_list, default="2,4")
     sp.add_argument("--m", dest="m_list", type=_int_list, default="1")
     sp.add_argument("--sample", type=int)
-    sp.add_argument("--t", type=int, default=1)
-    sp.add_argument("--r", type=int)
+    scale(sp)
     common(sp)
 
     sp = sub.add_parser("coarse-check", help="parameter report and lemma sweeps")
@@ -871,20 +810,28 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("deep-point", help="search one deep point")
     sp.add_argument("--from", dest="src", type=int, required=True)
     sp.add_argument("--to", dest="dst", type=int, required=True)
-    sp.add_argument("--t", type=int, default=1)
-    sp.add_argument("--r", type=int)
+    scale(sp)
     common(sp)
 
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {
-        k: v
-        for k, v in vars(args).items()
-        if k in RunConfig.__dataclass_fields__ and v is not None
-    }
-    return RunConfig(**fields)
+def _check_args(args: argparse.Namespace) -> None:
+    """The refusals of flag values that argparse does not make, in a
+    fixed order; a command passes each check of a flag it lacks."""
+    given = vars(args)
+    if args.budget <= 0:
+        raise ValueError("budget must be positive")
+    if min(given.get("n_list", []) + given.get("m_list", []), default=1) < 1:
+        raise ValueError("--n and --m entries must be at least 1")
+    if given.get("n_list") == []:
+        raise ValueError("--n must list at least 1 level")
+    if given.get("sample") is not None and args.sample <= 0:
+        raise ValueError("sample must be positive")
+    if given.get("t", 1) < 1:
+        raise ValueError(f"--t {args.t} is below 1")
+    if given.get("r") is not None and args.r < 1:
+        raise ValueError(f"--r {args.r} is below 1")
 
 
 @functools.cache
@@ -895,8 +842,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        cfg = config_from_args(_parser().parse_args(argv))
-        return HANDLERS[cfg.command](cfg)
+        args = _parser().parse_args(argv)
+        _check_args(args)
+        return HANDLERS[args.command](args)
     except MedianCertError as exc:
         sys.stdout.write(_dump(exc.report()))
         return 1

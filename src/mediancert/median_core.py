@@ -765,6 +765,29 @@ class MedianGraph:
         return self._median_table
 
 
+def refuse_above_vertex_limit(count: int) -> None:
+    """MedianGraph's refusal above VERTEX_LIMIT, from a vertex count
+    computed before any edge is listed.  A count of 2^64 or more stands
+    for any larger one: generators pass such counts capped."""
+    if count > VERTEX_LIMIT:
+        raise BudgetExceeded(
+            f"distance table disabled above {VERTEX_LIMIT} vertices",
+            n=count if count < 1 << 64 else "2^64 or more",
+        )
+
+
+def grid(w: int, h: int) -> MedianGraph:
+    """The grid of w x h unit squares: vertex i*(h+1) + j at column i,
+    row j, refused above VERTEX_LIMIT before any edge is listed."""
+    refuse_above_vertex_limit((w + 1) * (h + 1))
+    ids = np.arange((w + 1) * (h + 1)).reshape(w + 1, h + 1)
+    edges = np.concatenate([
+        np.column_stack([ids[:-1].ravel(), ids[1:].ravel()]),
+        np.column_stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()]),
+    ])
+    return MedianGraph(ids.size, edges)
+
+
 def median(g: MedianGraph, x: int, y: int, z: int) -> int:
     return g.median(x, y, z)
 

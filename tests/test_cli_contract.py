@@ -261,6 +261,37 @@ def test_negative_generator_parameter_refused_by_name(params, name, value):
     }
 
 
+@pytest.mark.parametrize("params, message", [
+    (["tree", "0", "3"], "branching must be at least 1"),
+    (["median-closure", "0", "4"], "k must be at least 1"),
+])
+def test_zero_generator_parameter_refused_by_name(params, message):
+    # an empty median-closure sample is refused before any draw, not
+    # after 64 attempts at an empty graph
+    assert run_contract(["gen", *params]) == {"error": "invalid-input", "message": message}
+
+
+@pytest.mark.parametrize("side", [12, 15, 16])
+def test_graph_above_instance_limit_refused_before_median_table(tmp_path, side):
+    # 169, 256 and 289 vertices: the coarse commands refuse the graph by
+    # the instance limit, before its n^3 median table is built
+    n = (side + 1) ** 2
+    path = tmp_path / "g.graph"
+    path.write_text(write_graph_text(generate("grid", [side, side])))
+    for argv in (
+        ["coarse-check"], ["deep-point", "--from", "0", "--to", "1"],
+        ["propa", "--provider", "coarse"],
+    ):
+        tracemalloc.start()
+        try:
+            payload = run_contract(argv + ["--input", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert payload == {"error": "budget", "message": "instance above 160 points", "n": n}
+        assert peak < 8 * 2**20
+
+
 def test_coarse_grid_at_145_points_writes(tmp_path):
     out = tmp_path / "c88.inst"
     assert main(["gen", "coarse-grid", "8", "8", "--output", str(out)]) == 0

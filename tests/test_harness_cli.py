@@ -25,7 +25,8 @@ from mediancert.coarse_median import (
 )
 from mediancert.errors import BudgetExceeded
 from mediancert.harness_cli import (
-    GRAPH_KINDS,
+    GENERATORS,
+    build_parser,
     generate,
     is_median_graph,
     load_input,
@@ -790,7 +791,10 @@ def test_cli_invalid_inputs(tmp_path):
 
 @pytest.mark.parametrize(
     "levels",
-    [["--n", "0", "--m", "0"], ["--n", "0", "--m", "1"], ["--m", "-1"], ["--n", "2,0"]],
+    [
+        ["--n", "0", "--m", "0"], ["--n", "0", "--m", "1"], ["--m", "-1"], ["--n", "2,0"],
+        ["--n", ""], ["--n", ",,"],
+    ],
 )
 def test_cli_propa_rejects_levels_below_one(tmp_path, levels):
     gpath = tmp_path / "t.txt"
@@ -844,10 +848,50 @@ def test_cli_error_report_names_rule(tmp_path, k23):
     assert payload["error"] == "wall-structure"
 
 
-def test_graph_kinds_constant():
-    assert set(GRAPH_KINDS) == {
-        "hypercube", "grid", "tree", "staircase", "median-closure",
+def test_generator_table():
+    # the gen kinds in argparse's order, each with its parameter names;
+    # coarse-grid alone builds an instance
+    assert {kind: names for kind, (names, _) in GENERATORS.items()} == {
+        "hypercube": ("d",), "grid": ("w", "h"), "tree": ("branching", "depth"),
+        "staircase": ("n",), "median-closure": ("k", "d"), "coarse-grid": ("w", "h"),
     }
+    assert list(GENERATORS) == [
+        "hypercube", "grid", "tree", "staircase", "median-closure", "coarse-grid",
+    ]
+    for kind, (names, _) in GENERATORS.items():
+        built = generate(kind, [2] * len(names))
+        assert isinstance(built, CoarseMedianInstance if kind == "coarse-grid" else MedianGraph)
+    assert write_instance_text(generate("coarse-grid", [2, 3])) == \
+        write_instance_text(coarsened_grid(2, 3))
+
+
+# the defaults every command had before its handler read argparse's
+# namespace, given explicitly where the command takes the flag
+FORMER_DEFAULTS = {
+    "--n": "2,4", "--m": "1", "--basepoint": "0", "--provider": "cat0",
+    "--t": "1", "--seed": "0", "--budget": "200000",
+}
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["propa", "--input", "{grid}"], list(FORMER_DEFAULTS)),
+    (["propa", "--provider", "coarse", "--input", "{inst}"],
+     ["--n", "--m", "--basepoint", "--t", "--seed", "--budget"]),
+    (["coarse-check", "--input", "{inst}"], ["--seed", "--budget"]),
+    (["deep-point", "--from", "0", "--to", "12", "--input", "{inst}"],
+     ["--t", "--seed", "--budget"]),
+    (["gen", "median-closure", "5", "6"], ["--seed", "--budget"]),
+])
+def test_defaults_equal_former_defaults(tmp_path, argv, flags):
+    paths = {"grid": tmp_path / "g.graph", "inst": tmp_path / "c.inst"}
+    paths["grid"].write_text(write_graph_text(generate("grid", [3, 3])))
+    paths["inst"].write_text(write_instance_text(coarsened_grid(2, 2)))
+    argv = [a.format(**paths) for a in argv]
+    explicit = argv + [v for flag in flags for v in (flag, FORMER_DEFAULTS[flag])]
+    parser = build_parser()
+    assert parser.parse_args(argv) == parser.parse_args(explicit)
+    left_out, given = run_cli(argv), run_cli(explicit)
+    assert left_out[0] == 0 and left_out == given
 
 
 @pytest.mark.parametrize(
