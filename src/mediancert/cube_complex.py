@@ -22,7 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CornerFailure, NotMedian
-from .median_core import _BLOCK_WORDS, MedianGraph, VertexSet, WallCodes, _mask_members, _pack_mask
+from .median_core import MedianGraph, VertexSet, WallCodes, _mask_members, _pack_mask
+
+# Working-set cap of one block of step_map's wide-step check, in uint64
+# words (128 KiB).  A block this small stays in cache, and, being under
+# malloc's default mmap threshold, comes from the heap rather than from
+# fresh pages on every call.
+_STEP_WORDS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -181,7 +187,7 @@ def step_map(g: MedianGraph, target: int) -> np.ndarray:
     k = np.bitwise_count(step).sum(axis=0, dtype=np.int64)
     ok &= k < n.bit_length()
     wide = np.flatnonzero(ok & (k >= 3))
-    span = max(1, _BLOCK_WORDS // (n * words))
+    span = max(1, _STEP_WORDS // (n * words))
     for lo in range(0, len(wide), span):
         vs = wide[lo:lo + span]
         outside = (planes[:, vs, None] ^ planes[:, None, :]) & ~step[:, vs, None]

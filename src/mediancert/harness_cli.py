@@ -470,16 +470,20 @@ def load_input(path: str):
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file beside it; an
+    OSError names ``path``, never the temp file."""
     folder = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=folder, prefix=".mediancert-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=folder, prefix=".mediancert-")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _dump(payload: dict) -> str:

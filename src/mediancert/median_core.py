@@ -5,28 +5,25 @@ Vertices are integers 0..n-1.  A graph is *median* when every triple
 between each pair; all operations here assume that property and raise
 MedianViolation where a computation witnesses its failure.
 
-Distances come from an all-pairs table computed once at construction.
+Walls, distances and medians come from sign codes.  Each edge (a, b)
+splits the vertices into those closer to a and those closer to b; the
+distinct splits are the walls, and a vertex's code has one bit per wall
+naming its side.  When the Hamming distance of every two codes equals
+the graph distance, the graph is an isometric subgraph of a hypercube
+(a partial cube): its wall sides are then convex, and the vertices on
+all three geodesics between x, y and z are exactly those whose code is
+the bitwise majority of theirs, so each median is one majority and one
+lookup.  Graphs that are not partial cubes are not median; a dense
+interval scan only names their first bad triple.
+
 In a median graph each wall's far side from vertex 0 is convex, so
 gated: its vertex nearest 0 has one parent (neighbour nearer 0), across
-the wall, and its other vertices each have a parent on that side.  So in
-one breadth-first search from 0, a vertex with one parent opens a wall
-and any other takes the OR of its parents' codes (below), at any number
-of walls, and the table follows from the codes.  An exact check makes
-this safe on any input; a graph it refuses (a partial cube that is not
-median, or no partial cube) gets a search from every vertex.  Vertex
-sets are fixed-width bitsets for word-parallel interval and hull
-arithmetic.
-
-Walls and medians come from sign codes.  Each edge (a, b) splits the
-vertices into those closer to a and those closer to b; the distinct
-splits are the walls, and a vertex's code has one bit per wall naming
-its side.  When the Hamming distance of every two codes equals the graph
-distance, the graph is an isometric subgraph of a hypercube (a partial
-cube): its wall sides are then convex, and the vertices on all three
-geodesics between x, y and z are exactly those whose code is the bitwise
-majority of theirs, so each median is one majority and one lookup.
-Graphs that fail the check are not median; a dense interval scan only
-names their first bad triple.
+the wall, and its other vertices each have a parent on that side.  So
+in one breadth-first search from 0 a vertex with one parent opens a
+wall and any other takes the OR of its parents' codes.  An exact check
+makes this safe on any input; a graph it refuses gets its codes from a
+search from every vertex.  The n x n distance table is built only when
+a reader asks for it.  Vertex sets are fixed-width bitsets.
 """
 
 from __future__ import annotations
@@ -44,10 +41,10 @@ from .errors import BudgetExceeded, MedianViolation, NotFound, ReductionFailure
 # graphs up to this size; everything else computes rows on demand.
 TABLE_LIMIT = 256
 
-# Every graph keeps an n x n int32 distance table: 256 MiB at this many
-# vertices (the all-pairs search fills it through float64 blocks of
-# _BLOCK_WORDS).
-# Larger graphs are refused before any n x n allocation.
+# A graph's n x n int32 distance table, built when a reader asks for it,
+# takes 256 MiB at this many vertices (the all-pairs search fills it
+# through float64 blocks of _BLOCK_WORDS).  Larger graphs are refused
+# before any n x n allocation.
 VERTEX_LIMIT = 8192
 
 # Working-set cap of one step of the code scans, in uint64 words.
@@ -190,7 +187,8 @@ def _all_bits(n: int) -> np.ndarray:
 
 
 def _levels(indptr: np.ndarray, nbr: np.ndarray) -> np.ndarray:
-    """Breadth-first distance of each vertex from 0; -1 where none."""
+    """Breadth-first distance of each vertex from 0; ValueError when some
+    vertex has none."""
     ptr, nbr = indptr.tolist(), nbr.tolist()
     level = [-1] * (len(ptr) - 1)
     level[0] = 0
@@ -202,6 +200,8 @@ def _levels(indptr: np.ndarray, nbr: np.ndarray) -> np.ndarray:
             if level[u] < 0:
                 level[u] = step
                 queue.append(u)
+    if min(level) < 0:
+        raise ValueError("graph is not connected")
     return np.array(level, dtype=np.intp)
 
 
@@ -243,23 +243,23 @@ def _wall_codes(dist: np.ndarray, ends: np.ndarray) -> WallCodes | None:
     return WallCodes(planes, edge_wall, count)
 
 
-def _single_search_codes(ends: np.ndarray, level: np.ndarray) -> tuple[WallCodes, np.ndarray] | None:
-    """Wall codes and distance table from the breadth-first ``level`` of
-    each vertex seen from 0, by the parent rule of the module docstring,
-    at any number of walls; None when a check fails.  The Hamming
-    distance of the codes is the graph distance exactly when every edge
-    flips one bit and every vertex v has, for each u != v, an edge at v
-    flipping a bit in which the codes of u and v differ: the first makes
-    the code distance move by 1 along each edge, so it is at most the
-    graph distance, and the second gives a walk from v to u that long.
-    Each bit is then one wall, put in _wall_codes's order.
+def _single_search_codes(ends: np.ndarray, indptr: np.ndarray, nbr: np.ndarray,
+                         slot_edge: np.ndarray) -> WallCodes | None:
+    """Wall codes from the breadth-first level of each vertex seen from
+    0, by the parent rule of the module docstring, at any number of
+    walls; None when a check fails.  The Hamming distance of the codes
+    is the graph distance exactly when every edge flips one bit and
+    every vertex v has, for each u != v, an edge at v flipping a bit in
+    which the codes of u and v differ: the first makes the code distance
+    move by 1 along each edge, so it is at most the graph distance, and
+    the second gives a walk from v to u that long.  Each bit is then one
+    wall, put in _wall_codes's order.
 
-    Codes of one word give the table as their Hamming distances, and the
-    second check rides along each row block of it.  Wider codes take
-    that check packed: the far sides from v of the walls at v, as vertex
-    bitsets, must cover every vertex but v.  Their table is then filled
-    row by row in search order, without a words factor: a child c of p
-    across wall i has d(c, u) = d(p, u) + 1 - 2 [u on c's side of i]."""
+    The second check is packed: the far sides from v of the walls at v,
+    as vertex bitsets, must cover every vertex but v.  They are taken in
+    the neighbour layout (MedianGraph._neighbours), in vertex blocks of
+    at most _BLOCK_WORDS words."""
+    level = _levels(indptr, nbr)
     n = len(level)
     ea, eb = ends.T
     # an edge within a level closes an odd cycle, and an n-vertex
@@ -304,50 +304,21 @@ def _single_search_codes(ends: np.ndarray, level: np.ndarray) -> tuple[WallCodes
         np.equal(np.take(sides, by_edge, axis=1), plus_bit, out=plus[:, :count].view(bool))
         raw[lo:lo + step] = np.packbits(plus, axis=1, bitorder="little")
     codes = WallCodes(np.ascontiguousarray(raw.view("<u8").T), edge_wall, count)
-    dist = np.empty((n, n), dtype=np.int32)
-    if words == 1:
-        code, flips = code[:, 0], flips[:, 0]
-        toward = np.zeros(n, dtype=np.uint64)
-        np.bitwise_or.at(toward, ea, flips)
-        np.bitwise_or.at(toward, eb, flips)
-        step = max(1, _BLOCK_WORDS // n)
-        for lo in range(0, n, step):
-            apart = code[lo:lo + step, None] ^ code
-            dist[lo:lo + step] = np.bitwise_count(apart)
-            apart &= toward  # in place: a second block would cost page faults
-            if np.count_nonzero(apart) < apart.size - len(apart):  # zero off the diagonal
-                return None
-    else:
-        half, full = codes.halves(), _all_bits(n)
-        at, walls = np.concatenate([ea, eb]), np.concatenate([edge_wall, edge_wall])
-        b_plus = _bit_of(half, edge_wall, eb) == 1
-        far_plus = np.concatenate([b_plus, ~b_plus])
-        cover = np.zeros((n, len(full)), dtype=np.uint64)
-        step = max(1, _BLOCK_WORDS // len(full))
-        for lo in range(0, len(at), step):
-            far = half[walls[lo:lo + step]]
-            far[~far_plus[lo:lo + step]] ^= full
-            np.bitwise_or.at(cover, at[lo:lo + step], far)
+    if n == 1:
+        return codes  # nothing to cover
+    half, full = codes.halves(), _all_bits(n)
+    per = max(1, _BLOCK_WORDS // len(full))  # edge slots per vertex block
+    lo = 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(indptr, indptr[lo] + per, side="right")) - 1)
+        wall, u = edge_wall[slot_edge[indptr[lo]:indptr[hi]]], nbr[indptr[lo]:indptr[hi]]
+        far = half[wall]  # the side of neighbour u
+        np.bitwise_xor(far, full, out=far, where=(_bit_of(half, wall, u) == 0)[:, None])
+        cover = np.bitwise_or.reduceat(far, indptr[lo:hi] - indptr[lo])
         if (np.bitwise_count(cover).sum(axis=1) != n - 1).any():
             return None
-        # one parent edge per child, children in search order
-        _, first = np.unique(child, return_index=True)
-        first = first[np.argsort(level[child[first]], kind="stable")]
-        parent, child, wall = parent[first], child[first], edge_wall[order][first]
-        dist[0] = level
-        step = max(1, _BLOCK_WORDS // n)
-        cut = np.searchsorted(level[child], np.arange(1, level.max() + 2))
-        rows = np.empty((step, n), dtype=np.int32)  # one block of rows at a time
-        for lo, hi in zip(cut[:-1], cut[1:]):
-            for a in range(lo, hi, step):
-                c, i = child[a:min(hi, a + step)], wall[a:min(hi, a + step)]
-                far = half[i]
-                far[_bit_of(half, i, c) == 1] ^= full
-                block = np.take(dist, parent[a:a + len(c)], axis=0, out=rows[:len(c)], mode="clip")  # unbuffered
-                block += np.unpackbits(far.view(np.uint8), axis=1, count=n, bitorder="little") << 1
-                block -= 1
-                dist[c] = block
-    return codes, dist
+        lo = hi
+    return codes
 
 
 def _distinct(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -445,13 +416,15 @@ class VertexSet:
 
 
 class MedianGraph:
-    """Connected simple graph with cached BFS distances.
+    """Connected simple graph with distances from its wall codes.
 
     ``edges`` holds vertex pairs, as a sequence or an (m, 2) array.
     ``edge_array`` holds them as sorted distinct rows (u, v), u < v, and
     ``edges`` as int tuples.  The constructor checks shape (ids in
-    range, no loops, connectivity) but not the median property itself;
-    run harness_cli.is_median_graph on untrusted input.
+    range, no loops, connectivity) and runs the single search for the
+    codes, but not the median check itself; run
+    harness_cli.is_median_graph on untrusted input.  The n x n table
+    ``dist`` is built on first read.
     """
 
     def __init__(self, vertex_count: int, edges):
@@ -480,8 +453,8 @@ class MedianGraph:
             raise ValueError("graph is not connected")
         self.edge_array = np.stack(np.divmod(key, self.n), axis=1)
         self.edges: list[tuple[int, int]] = list(zip(*self.edge_array.T.tolist()))
-        self._codes: WallCodes | bool | None = None  # False: not a partial cube
-        self.dist = self._all_pairs()
+        # None: the search refused the graph; False: not a partial cube
+        self._codes: WallCodes | bool | None = _single_search_codes(self.edge_array, *self._neighbours)
         self._interval_cache: dict[tuple[int, int], int] = {}
         self._median_table: np.ndarray | None = None
         self._packed_intervals: np.ndarray | None = None
@@ -489,52 +462,83 @@ class MedianGraph:
         self._rank: int | None = None
 
     @functools.cached_property
-    def _neighbours(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, nbr): the neighbours of v, in increasing order, are
-        ``nbr[indptr[v]:indptr[v + 1]]``; the one layout that the search,
-        the square check and ``adj`` read.  ``edge_array`` rows are
-        sorted with u < v, so a stable sort on the source puts each
-        vertex's smaller neighbours (its rows as v) before its larger."""
+    def _neighbours(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, nbr, slot_edge): the neighbours of v, in increasing
+        order, are ``nbr[indptr[v]:indptr[v + 1]]``, joined to v by the
+        edges ``slot_edge[indptr[v]:indptr[v + 1]]`` (rows of
+        ``edge_array``); the one layout that the search, the square check
+        and ``adj`` read.  ``edge_array`` rows are sorted with u < v, so
+        a stable sort on the source puts each vertex's smaller neighbours
+        (its rows as v) before its larger."""
         src, dst = self.edge_array[:, ::-1].T.ravel(), self.edge_array.T.ravel()
         indptr = np.zeros(self.n + 1, dtype=np.intp)
         np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
-        return indptr, dst[np.argsort(src, kind="stable")]
+        slot = np.argsort(src, kind="stable")
+        return indptr, dst[slot], slot % len(self.edge_array)
 
     @functools.cached_property
     def adj(self) -> list[list[int]]:
         """Sorted neighbour lists, built on first use."""
-        indptr, nbr = self._neighbours
+        indptr, nbr, _ = self._neighbours
         ptr, nbr = indptr.tolist(), nbr.tolist()
         return [nbr[a:b] for a, b in zip(ptr, ptr[1:])]
 
-    def _all_pairs(self) -> np.ndarray:
-        """The distance table; the wall codes too when they come with it."""
-        level = _levels(*self._neighbours)
-        if (level < 0).any():
-            raise ValueError("graph is not connected")
-        found = _single_search_codes(self.edge_array, level)
-        if found is not None:
-            self._codes, dist = found
-            return dist
-        # a graph the single search refuses gets scipy's search from every
-        # vertex; scipy is imported here only, off the median-graph path
-        from scipy.sparse import csr_array
-        from scipy.sparse.csgraph import dijkstra
+    @functools.cached_property
+    def dist(self) -> np.ndarray:
+        """The n x n int32 distance table, built on first read.  Codes of
+        one word give it as their Hamming distances.  Wider codes fill it
+        row by row in search order, without a words factor: a child c of
+        p across wall i has d(c, u) = d(p, u) + 1 - 2 [u on c's side of
+        i].  A graph the single search refuses gets scipy's search from
+        every vertex (scipy is imported here only, off the median-graph
+        path), in row blocks: its float64 rows are never all held."""
+        n, codes = self.n, self._codes
+        dist = np.empty((n, n), dtype=np.int32)
+        step = max(1, _BLOCK_WORDS // n)
+        if codes is None:
+            from scipy.sparse import csr_array
+            from scipy.sparse.csgraph import dijkstra
 
-        indptr, nbr = self._neighbours
-        # float64 weights, the type scipy's searches take without a copy
-        g = csr_array((np.ones(len(nbr)), nbr, indptr), shape=(self.n, self.n))
-        # row blocks: scipy's float64 rows are never all held at once
-        dist = np.empty((self.n, self.n), dtype=np.int32)
-        step = max(1, _BLOCK_WORDS // self.n)
-        for lo in range(0, self.n, step):
-            dist[lo:lo + step] = dijkstra(g, unweighted=True, indices=np.arange(lo, min(self.n, lo + step)))
+            indptr, nbr, _ = self._neighbours
+            # float64 weights, the type scipy's searches take without a copy
+            g = csr_array((np.ones(len(nbr)), nbr, indptr), shape=(n, n))
+            for lo in range(0, n, step):
+                dist[lo:lo + step] = dijkstra(g, unweighted=True, indices=np.arange(lo, min(n, lo + step)))
+            return dist
+        planes = codes.planes
+        if len(planes) == 1:
+            for lo in range(0, n, step):
+                dist[lo:lo + step] = np.bitwise_count(planes[0, lo:lo + step, None] ^ planes[0])
+            return dist
+        half, full = codes.halves(), _all_bits(n)
+        level = np.bitwise_count(planes ^ planes[:, :1]).sum(axis=0, dtype=np.intp)
+        ea, eb = self.edge_array.T
+        up = level[ea] > level[eb]
+        edge = np.empty(n, dtype=np.intp)
+        edge[np.where(up, ea, eb)] = np.arange(len(up))  # a parent edge per child: any serves
+        child = np.argsort(level, kind="stable")[1:]  # in search order
+        parent, wall = np.where(up, eb, ea)[edge[child]], codes.edge_wall[edge[child]]
+        dist[0] = level
+        cut = np.searchsorted(level[child], np.arange(1, level.max() + 2))
+        rows = np.empty((step, n), dtype=np.int32)  # one block of rows at a time
+        for lo, hi in zip(cut[:-1], cut[1:]):
+            for a in range(lo, hi, step):
+                c, i = child[a:min(hi, a + step)], wall[a:min(hi, a + step)]
+                far = half[i]
+                far[_bit_of(half, i, c) == 1] ^= full
+                block = np.take(dist, parent[a:a + len(c)], axis=0, out=rows[:len(c)], mode="clip")  # unbuffered
+                block += np.unpackbits(far.view(np.uint8), axis=1, count=n, bitorder="little") << 1
+                block -= 1
+                dist[c] = block
         return dist
 
     def distance(self, x: int, y: int) -> int:
         # a negative id would wrap around the numpy index
         if not (0 <= x < self.n and 0 <= y < self.n):
             raise ValueError(f"vertex pair ({x},{y}) out of range 0..{self.n - 1}")
+        if "dist" not in self.__dict__ and self._codes:
+            planes = self._codes.planes
+            return int(np.bitwise_count(planes[:, x] ^ planes[:, y]).sum())
         return int(self.dist[x, y])
 
     def ball(self, x: int, r: int) -> VertexSet:
@@ -681,49 +685,51 @@ class MedianGraph:
         exactly two walls i and j, so maj(u, v, w) is v's code with bits
         i and j taken from u: one of the four corners of the (i, j)
         square through v and w, whichever u is.  v, w and a common
-        neighbour fill three corners, and a vertex at the fourth would
+        neighbour c fill three corners, and a vertex at the fourth would
         be a second common neighbour.  So a pair with two common
         neighbours has every corner, and a pair with one has every
-        majority a vertex exactly when no u lies in the fourth quadrant
-        of walls i and j, that is, when i and j do not cross (the other
-        three quadrants hold v, w and their neighbour).  The graph is
-        bipartite, so its pairs v < w at distance 2 are the ends of the
-        2-walks v, u, w with w > v, one walk per common neighbour; each
-        block of rows v sorts the keys v·n + w, keeps the runs of one,
-        and tests their distinct wall pairs once."""
-        n, words = self.n, len(codes.planes)
-        indptr, nbr = self._neighbours
+        majority a vertex exactly when no u lies past c on both walls,
+        the quadrant of the fourth corner.  The graph is bipartite, so
+        its pairs v < w at distance 2 are the ends of the 2-walks v, c, w
+        with w > v, one walk per common neighbour; each block of rows v
+        sorts the keys v·n + w, keeps the runs of one, and tests each
+        distinct quadrant once, named by its two walls and c's side of
+        each."""
+        n, ws = self.n, 2 * codes.count  # values of 2·wall + side
+        indptr, nbr, slot_edge = self._neighbours
         deg = np.diff(indptr)
-        # rows per block: 2-walks times code words, about _BLOCK_WORDS
-        work = np.concatenate([[0], np.cumsum(deg[nbr])])[indptr[1:]] * words
-        blocks = -(-int(work[-1]) // _BLOCK_WORDS)
-        cuts = [0, *np.searchsorted(work, np.arange(1, blocks) * _BLOCK_WORDS).tolist(), n]
-        half, full = codes.halves(), _all_bits(n)
+        wall = codes.edge_wall[slot_edge]
+        # rows per block: about _BLOCK_WORDS / 8 2-walks, a word per walk in each array
+        walks = max(1, _BLOCK_WORDS // 8)
+        work = np.concatenate([[0], np.cumsum(deg[nbr])])[indptr[1:]]
+        blocks = -(-int(work[-1]) // walks)
+        cuts = [0, *np.searchsorted(work, np.arange(1, blocks) * walks).tolist(), n]
+        half = codes.halves()
+        # row 2·wall + s: the side of the wall away from codes with bit s
+        away = np.stack([half, half ^ _all_bits(n)], axis=1).reshape(ws, half.shape[1])
         for lo, hi in zip(cuts, cuts[1:]):
-            # the 2-walks v, u, w from the rows v in lo..hi-1
-            mid = nbr[indptr[lo]:indptr[hi]]
-            count = deg[mid]
-            at = np.repeat(indptr[mid] - np.cumsum(count) + count, count) + np.arange(count.sum())
-            v, w = np.repeat(np.repeat(np.arange(lo, hi), deg[lo:hi]), count), nbr[at]
-            later = w > v
-            key = np.sort(v[later] * n + w[later])
-            run = np.diff(key, prepend=-1, append=-1) != 0
-            row, col = np.divmod(key[run[:-1] & run[1:]], n)  # one common neighbour
-            apart = codes.planes[:, row] ^ codes.planes[:, col]
-            # the two walls apart: i in the first nonzero word, j in the last
-            nonzero = apart != 0
-            first, last = nonzero.argmax(axis=0), words - 1 - nonzero[::-1].argmax(axis=0)
-            pair = np.arange(apart.shape[1])
-            low, high = apart[first, pair], apart[last, pair]
-            high = np.where(first == last, low & (low - np.uint64(1)), high)  # the low bit dropped
-            i = 64 * first + np.bitwise_count((low - np.uint64(1)) & ~low)
-            j = 64 * last + np.bitwise_count(high - np.uint64(1))
-            i, j = np.divmod(np.unique(i * codes.count + j), codes.count)
-            step = max(1, _BLOCK_WORDS // len(full))
-            for k in range(0, len(i), step):
-                a, b = half[i[k:k + step]], half[j[k:k + step]]
-                quadrants = (a & b, a & ~b, ~a & b, ~(a | b) & full)
-                if np.logical_and.reduce([q.any(axis=1) for q in quadrants]).any():
+            # the 2-walks v, c, w from the rows v in lo..hi-1: slot s
+            # joins v to c, and slot t joins c to w
+            s = np.arange(indptr[lo], indptr[hi])
+            count = deg[nbr[s]]
+            t = np.repeat(indptr[nbr[s]] - np.cumsum(count) + count, count) + np.arange(count.sum())
+            s = np.repeat(s, count)
+            v = np.repeat(np.repeat(np.arange(lo, hi), deg[lo:hi]), count)
+            later = np.flatnonzero(nbr[t] > v)
+            # each walk's index rides below its key v·n + w: a sort is
+            # faster than an argsort
+            pair, walk = np.divmod(np.sort((v[later] * n + nbr[t[later]]) * len(t) + later), len(t))
+            run = np.diff(pair, prepend=-1, append=-1) != 0
+            one = walk[run[:-1] & run[1:]]  # one common neighbour
+            c = nbr[s[one]]
+            # c's two walls, each as 2·wall + c's side of it
+            p, q = (2 * i + _bit_of(half, i, c).astype(np.intp) for i in (wall[s[one]], wall[t[one]]))
+            key = np.sort(np.minimum(p, q) * ws + np.maximum(p, q))
+            # distinct by a sort: np.unique hashes, many times slower here
+            p, q = np.divmod(key[np.diff(key, prepend=-1) != 0], ws)
+            step = max(1, _BLOCK_WORDS // half.shape[1])
+            for k in range(0, len(p), step):
+                if (away[p[k:k + step]] & away[q[k:k + step]]).any():  # past c on both walls
                     return False
         return True
 

@@ -27,8 +27,9 @@ these words, whatever the labels.
 Pair arrays.  The center pairs of a level are sample positions (i, j, d)
 with i < j and integer distance d in 1..n, in the order of a loop over
 i, then j.  A provider with an integer ``distance_table`` (the graph's
-distance table, or an integral coarse metric) yields them, and the support
-radius, from blocks of that table; other providers are asked through
+distance table, or an integral coarse metric) yields them, and the
+support radius, from blocks of that table, and eligible_sample's
+centers from one row of it; other providers are asked through
 ``distance`` pair by pair.  Pair work runs in blocks whose temporaries
 hold about ``_BLOCK`` elements.
 
@@ -679,10 +680,16 @@ def eligible_sample(provider, n_max: int, min_distance: int | None = None,
     room; falls back to all points when the margin empties the space."""
     if min_distance is None:
         min_distance = 3 * n_max + 1
-    pts = [
-        x for x in range(provider.point_count)
-        if provider.distance(x, provider.basepoint) >= min_distance
-    ]
+    table = getattr(provider, "distance_table", None)
+    if table is None:
+        pts = [
+            x for x in range(provider.point_count)
+            if provider.distance(x, provider.basepoint) >= min_distance
+        ]
+    else:
+        provider.distance(0, provider.basepoint)  # the loop's range check
+        # the metric is symmetric: the basepoint's row
+        pts = np.flatnonzero(table[provider.basepoint] >= min_distance).tolist()
     if not pts:
         pts = list(range(provider.point_count))
     if limit is not None and len(pts) > limit:

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from mediancert import errors
 from mediancert.coarse_median import coarsened_grid
-from mediancert.harness_cli import generate, main, write_graph_text, write_instance_text
+from mediancert.cube_complex import hyperplanes, normal_cube_path, rank
+from mediancert.harness_cli import generate, is_median_graph, main, write_graph_text, write_instance_text
 from mediancert.median_core import VERTEX_LIMIT, MedianGraph
 
 RULES = {
@@ -189,6 +190,47 @@ def test_vertex_limit_admits_the_largest_generated_graphs():
     assert max(60 * 60, 2**12, 2**11 - 1) <= VERTEX_LIMIT
     g = generate("tree", [2, 10])
     assert g.n == 2**11 - 1 and g.dist.shape == (g.n, g.n)
+
+
+@pytest.mark.parametrize("params", [["tree", "2", "10"], ["hypercube", "11"], ["grid", "59", "59"]])
+def test_validate_builds_no_distance_table(tmp_path, params):
+    # 2,047 to 3,600 vertices, whose int32 tables would take 16 to 49 MiB:
+    # validate reads the wall codes alone
+    path = tmp_path / "g.graph"
+    path.write_text(write_graph_text(generate(params[0], [int(p) for p in params[1:]])))
+    tracemalloc.start()
+    try:
+        payload = run_contract(["validate", "--input", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert payload["median"] is True
+    assert peak < 16 * 2**20, peak
+
+
+@pytest.mark.parametrize("kind, params", [("grid", [6, 4]), ("tree", [2, 7]), ("hypercube", [5])])
+def test_median_graph_commands_read_no_distance_table(kind, params):
+    g = generate(kind, params)
+    far = g.n - 1
+    assert is_median_graph(g) == (True, None)
+    assert rank(g) >= 1 and len(hyperplanes(g)) >= 1
+    path = normal_cube_path(g, 0, far)
+    assert sum(map(len, path.steps)) == g.distance(0, far)
+    assert "dist" not in g.__dict__
+    assert g.distance(0, far) == g.dist[0, far]
+
+
+def test_output_error_names_the_given_path(tmp_path):
+    # the temp file beside the output gets a random name; the error
+    # names the --output path, the same on every run
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    for out in (tmp_path / "missing" / "x", folder):
+        payloads = [run_contract(["gen", "staircase", "3", "--output", str(out)]) for _ in range(2)]
+        assert payloads[0] == payloads[1]
+        assert payloads[0]["error"] == "invalid-input"
+        assert payloads[0]["message"].endswith(f": '{out}'"), payloads[0]
+    assert list(tmp_path.rglob(".mediancert-*")) == []
 
 
 @pytest.mark.parametrize("argv", [

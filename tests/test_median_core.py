@@ -568,8 +568,8 @@ def test_one_word_codes_match_breadth_first_search(label, n, edges, single):
     g = MedianGraph(n, edges)
     dist, codes = breadth_first_reference(g)
     assert np.array_equal(g.dist, dist)
-    # the single search gives the codes with the table on the median
-    # graphs, at any number of walls; every other graph here falls back
+    # the single search gives the codes on the median graphs, at any
+    # number of walls; every other graph here falls back
     assert (g._codes is not None) == single
     got = g.wall_codes()
     assert (got is None) == (codes is None)
@@ -577,6 +577,25 @@ def test_one_word_codes_match_breadth_first_search(label, n, edges, single):
         assert np.array_equal(got.planes, codes.planes)
         assert np.array_equal(got.edge_wall, codes.edge_wall)
         assert got.count == codes.count
+
+
+@pytest.mark.parametrize("label, n, edges, single", [
+    ("grid 9x9", 100, grid_edges(9, 9), True),
+    ("tree 2 7", 255, generate("tree", [2, 7]).edges, True),
+    ("K23 + pendant", 6, K23_PENDANT, False),
+    ("K23 + pendant + path", 76, K23_PENDANT + [(0, 6)] + [(v, v + 1) for v in range(6, 75)], False),
+])
+def test_cover_check_in_vertex_blocks(label, n, edges, single, monkeypatch):
+    # a budget of a few words cuts one vertex block per vertex, or a few;
+    # the codes and the distances from them do not depend on the cuts
+    want = MedianGraph(n, edges)
+    for budget in (1, 7, 64):
+        monkeypatch.setattr(median_core, "_BLOCK_WORDS", budget)
+        g = MedianGraph(n, edges)
+        assert (g._codes is not None) == single, budget
+        if single:
+            assert_codes_equal(g._codes, want._codes)
+        assert np.array_equal(g.dist, want.dist)
 
 
 SETTINGS = settings(
@@ -777,25 +796,27 @@ def test_fallback_table_fills_in_row_blocks():
     tracemalloc.start()
     try:
         g = MedianGraph(n, [(i, (i + 1) % n) for i in range(n)])
+        table = g.dist
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert g._codes is None
     assert peak < 32 * 2**20, peak
-    assert g.dist.dtype == np.int32 and g.dist[0].max() == 1024 and g.dist.max() == 1024
+    assert table.dtype == np.int32 and table[0].max() == 1024 and table.max() == 1024
     assert np.array_equal(g.dist[1000], breadth_first_reference(g)[0][1000])
 
 
 def test_single_search_table_fits_in_32_mib():
     # 1024 leaves, each a wall of its own: 32 words of code per vertex,
-    # and the table filled row by row beside its 16 MiB
+    # and the table filled row by row beside its 16 MiB on first read
     tracemalloc.start()
     try:
         g = generate("tree", [2, 10])
+        table = g.dist
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert g._codes is not None and g._codes.count == 2046
     assert peak < 32 * 2**20, peak
-    assert g.dist.dtype == np.int32 and g.dist[0].max() == 10 and g.dist.max() == 20
+    assert table.dtype == np.int32 and table[0].max() == 10 and table.max() == 20
     assert np.array_equal(g.dist[1000], breadth_first_reference(g)[0][1000])

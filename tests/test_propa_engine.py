@@ -778,3 +778,27 @@ def test_eligible_sample_limit_deterministic(grid6):
     b = eligible_sample(prov, 2, limit=4, seed=11)
     assert a == b and len(a) == 4 and a == sorted(a)
     assert set(a) <= set(eligible_sample(prov, 2))
+
+
+class PairByPair:
+    """A provider's distances without its table: eligible_sample asks
+    them point by point."""
+
+    def __init__(self, provider):
+        self.point_count, self.basepoint = provider.point_count, provider.basepoint
+        self.distance = provider.distance
+
+
+def test_eligible_sample_row_matches_pair_by_pair(grid6):
+    # the basepoint's row of an integer table gives the same centers
+    providers = [Cat0WitnessProvider(grid6, b) for b in (0, 17, 35)]
+    providers += [CoarseWitnessProvider(coarsened_grid(3, 2), b) for b in (0, 4)]
+    for prov in providers:
+        assert getattr(prov, "distance_table", None) is not None
+        for min_distance in (None, 0, 1, 3, 5, 100):
+            for limit in (None, 3):
+                got = eligible_sample(prov, 2, min_distance, limit, seed=5)
+                assert got == eligible_sample(PairByPair(prov), 2, min_distance, limit, seed=5)
+    for bad in (-1, 36):
+        with pytest.raises(ValueError, match="out of range"):
+            eligible_sample(Cat0WitnessProvider(grid6, bad), 2)
