@@ -15,12 +15,13 @@ projections) is checked against them on concrete instances.
 
 The metric is one table of integer numerators ``nums`` over one
 denominator ``den``, the lcm of the entries' denominators: int32 when
-every numerator fits, as an integral metric's must, else Python ints in
-an object array.  Each sweep is one integer array expression that makes
-a ``Fraction`` only of its result, and a threshold q is compared as
-nums <= floor(q * den), exact for integer nums.  H0 and gamma are
-exhaustive on integral metrics up to 40 points and sampled otherwise:
-exact constants would change what reports on rational metrics print.
+every numerator and den fit, as an integral metric's must, else Python
+ints in an object array.  Each sweep is one integer array expression
+that makes a ``Fraction`` only of its result, and a threshold q is
+compared as nums <= floor(q * den), exact for integer nums.  H0 and
+gamma are exhaustive on integral metrics up to 40 points and sampled
+otherwise: exact constants would change what reports on rational
+metrics print.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ class CoarseMedianInstance:
         if self.den == 1 and far.any():
             i, j = np.argwhere(far)[0].tolist()
             raise ValueError(f"distance d({i},{j}) = {table[i, j]} is outside the int32 range")
-        self.nums = table.astype(object if far.any() else np.int32)
+        self.nums = table.astype(object if far.any() or self.den >= 2**31 else np.int32)
         self.dist_int: np.ndarray | None = self.nums if self.den == 1 else None
         self._validate_metric()
         self.ambient = ambient
@@ -588,16 +589,14 @@ class CoarseWitnessProvider:
         self._sets: dict[tuple[int, int, int], frozenset[int]] = {}
 
     @property
-    def point_count(self) -> int:
-        return self.inst.n
-
-    def distance(self, x: int, y: int):
-        return self.inst.rho(x, y)
+    def distance_table(self) -> np.ndarray:
+        """The metric's integer numerators ``nums``: the distance from x
+        to y is distance_table[x, y] / den."""
+        return self.inst.nums
 
     @property
-    def distance_table(self) -> np.ndarray | None:
-        """The distances ``distance`` reads, when they are all integers."""
-        return self.inst.dist_int
+    def den(self) -> int:
+        return self.inst.den
 
     def scale(self, l: int) -> int:
         p = self.params

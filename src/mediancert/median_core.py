@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import BudgetExceeded, MedianViolation, NotFound, ReductionFailure
 
-# Dense per-pair tables (medians, packed intervals) are only built for
-# graphs up to this size; everything else computes rows on demand.
+# The dense per-pair tables, median_table and packed_intervals, are only
+# built for graphs up to this size.
 TABLE_LIMIT = 256
 
 # A graph's n x n int32 distance table, built when a reader asks for it,
@@ -636,15 +636,11 @@ class MedianGraph:
         """Dense interval scan of the sorted triples, for graphs that
         are not partial cubes: raises MedianViolation at the first
         triple whose three intervals do not meet in exactly one vertex.
-        Uses the packed interval table up to TABLE_LIMIT and computes
-        the rows it needs above."""
+        Computes the interval rows it needs in blocks."""
         n, d = self.n, self.dist
-        packed = self.packed_intervals() if n <= TABLE_LIMIT else None
 
         def rows(a, zs):
             # packed I(a, z) for z in zs, one row per a
-            if packed is not None:
-                return packed[a][:, zs]
             iv = d[a][:, None, :] + d[zs][None, :, :] == d[np.ix_(a, zs)][:, :, None]
             return np.packbits(iv, axis=2, bitorder="little")
 

@@ -26,12 +26,13 @@ these words, whatever the labels.
 
 Pair arrays.  The center pairs of a level are sample positions (i, j, d)
 with i < j and integer distance d in 1..n, in the order of a loop over
-i, then j.  A provider with an integer ``distance_table`` (the graph's
-distance table, or an integral coarse metric) yields them, and the
-support radius, from blocks of that table, and eligible_sample's
-centers from one row of it; other providers are asked through
-``distance`` pair by pair.  Pair work runs in blocks whose temporaries
-hold about ``_BLOCK`` elements.
+i, then j.  Every provider gives its metric as one table of integer
+numerators over one denominator: d(x, y) = distance_table[x, y] / den
+(the graph's distance table over 1, or a coarse metric's ``nums`` over
+its ``den``; int32, or Python ints in an object array).  The pairs and
+the support radius come from blocks of that table, and eligible_sample's
+centers from the basepoint's row.  Pair work runs in blocks whose
+temporaries hold about ``_BLOCK`` elements.
 
 Exactness.  Condition (ii) is decided exactly by the nesting sweep, for
 every pair of the level that certify reads; each inequality of the
@@ -150,6 +151,7 @@ class Cat0WitnessProvider:
     distance k of x."""
 
     name = "cat0"
+    den = 1
 
     def __init__(self, graph: MedianGraph, basepoint: int):
         self.graph = graph
@@ -157,13 +159,6 @@ class Cat0WitnessProvider:
         self._step: np.ndarray | None = None
         self._endpoints: dict[int, np.ndarray] = {}
         self._sets: dict[tuple[int, int, int], VertexSet] = {}
-
-    @property
-    def point_count(self) -> int:
-        return self.graph.n
-
-    def distance(self, x: int, y: int) -> int:
-        return self.graph.distance(x, y)
 
     @property
     def distance_table(self) -> np.ndarray:
@@ -254,7 +249,7 @@ def _row_array(provider, centers: list[int], n: int) -> tuple[np.ndarray, np.nda
             if not mask:
                 raise ConditionViolation(f"S({x},{k},{n}) is empty", x=x, k=k, n=n)
             masks.append(mask)
-    words = -(-max([provider.point_count, 1] + [m.bit_length() for m in masks]) // 64)
+    words = -(-len(provider.distance_table) // 64)
     rows = np.zeros((len(centers), 3 * n + 1, words), dtype=np.uint64)
     packed = b"".join(m.to_bytes(8 * words, "little") for m in masks)
     rows[:, 1:] = np.frombuffer(packed, dtype="<u8").reshape(len(centers), 3 * n, words)
@@ -305,49 +300,36 @@ class ConditionReport:
 
 
 def _support_radius(provider, sample: list[int], rows: np.ndarray, points: np.ndarray) -> int:
-    """The farthest member of any set of a center, from that center."""
+    """The farthest member of any set of a center, from that center,
+    rounded up to an integer."""
+    table = provider.distance_table
     reach = np.bitwise_or.reduce(rows, axis=1)
-    table = getattr(provider, "distance_table", None)
-    if table is None:
-        return max(
-            (
-                math.ceil(provider.distance(x, int(points[u])))
-                for x, words in zip(sample, reach)
-                for u in _mask_members(int.from_bytes(words.astype("<u8").tobytes(), "little"))
-            ),
-            default=0,
-        )
     radius = 0
-    points = points[:min(len(points), table.shape[1])]
+    points = points[:len(table)]
     step = max(1, _BLOCK // max(len(points), 1))
     for lo in range(0, len(sample), step):
         hit = _bits(reach[lo:lo + step])[:, :len(points)]
         far = table[sample[lo:lo + step]][:, points]
         radius = max(radius, int(np.where(hit, far, 0).max(initial=0)))
-    return radius
+    return -(-radius // provider.den)
 
 
 def _center_pairs(provider, sample: list[int], n: int) -> np.ndarray:
     """The pair array (i, j, d) of the level (see the module docstring)."""
-    table = getattr(provider, "distance_table", None)
-    if table is None:
-        found = []
-        for i, x in enumerate(sample):
-            for j in range(i + 1, len(sample)):
-                d = provider.distance(x, sample[j])
-                if 1 <= d <= n and d == int(d):
-                    found.append((i, j, int(d)))
-        return np.array(found, dtype=np.int64).reshape(-1, 3).T
+    table, den = provider.distance_table, provider.den
     cols = np.array(sample, dtype=np.intp)
     step = max(1, _BLOCK // max(len(cols), 1))
     parts = [np.zeros((3, 0), dtype=np.int64)]
     for lo in range(0, len(cols), step):
         d = table[cols[lo:lo + step]][:, cols]
-        # 1 <= d <= n, on j > i only
-        near = (d - 1).view(f"u{d.itemsize}") < n
+        # den <= d <= n * den, on j > i only
+        near = (d >= den) & (d <= n * den)
         near &= np.arange(len(cols)) > np.arange(lo, lo + len(d))[:, None]
         i, j = np.nonzero(near)
-        parts.append(np.stack([i + lo, j, d[i, j]]))
+        # whole distances only; Python operators take object numerators
+        d = d[i, j]
+        whole = d % den == 0
+        parts.append(np.stack([i[whole] + lo, j[whole], (d[whole] // den).astype(np.int64)]))
     return np.concatenate(parts, axis=1)
 
 
@@ -680,18 +662,13 @@ def eligible_sample(provider, n_max: int, min_distance: int | None = None,
     room; falls back to all points when the margin empties the space."""
     if min_distance is None:
         min_distance = 3 * n_max + 1
-    table = getattr(provider, "distance_table", None)
-    if table is None:
-        pts = [
-            x for x in range(provider.point_count)
-            if provider.distance(x, provider.basepoint) >= min_distance
-        ]
-    else:
-        provider.distance(0, provider.basepoint)  # the loop's range check
-        # the metric is symmetric: the basepoint's row
-        pts = np.flatnonzero(table[provider.basepoint] >= min_distance).tolist()
+    table, b = provider.distance_table, provider.basepoint
+    if not 0 <= b < len(table):
+        raise ValueError(f"basepoint {b} out of range 0..{len(table) - 1}")
+    # the metric is symmetric: the basepoint's row
+    pts = np.flatnonzero(table[b] >= min_distance * provider.den).tolist()
     if not pts:
-        pts = list(range(provider.point_count))
+        pts = list(range(len(table)))
     if limit is not None and len(pts) > limit:
         pts = sorted(random.Random(seed).sample(pts, limit))
     return pts

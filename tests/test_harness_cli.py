@@ -697,12 +697,11 @@ def test_cli_propa_files(tmp_path, grid6):
     ]
 
 
-def test_cli_propa_deterministic(tmp_path, grid6, monkeypatch):
+def test_cli_propa_deterministic(tmp_path, grid6):
     gpath = tmp_path / "g.txt"
     gpath.write_text(write_graph_text(grid6))
 
-    def run_bytes(tag, threads, provider, n_spec):
-        monkeypatch.setenv("MEDIANCERT_THREADS", threads)
+    def run_bytes(tag, provider, n_spec):
         argv = [
             "propa", "--input", str(gpath), "--n", n_spec, "--m", "1",
             "--provider", provider, "--output", str(tmp_path / tag),
@@ -713,12 +712,12 @@ def test_cli_propa_deterministic(tmp_path, grid6, monkeypatch):
             + (tmp_path / (tag + ".csv")).read_bytes()
         )
 
-    a = run_bytes("a", "1", "cat0", "2,4")
-    b = run_bytes("b", "1", "cat0", "2,4")
-    c = run_bytes("c", "3", "cat0", "2,4")
+    a = run_bytes("a", "cat0", "2,4")
+    b = run_bytes("b", "cat0", "2,4")
+    c = run_bytes("c", "cat0", "2,4")
     assert a == b == c
-    x = run_bytes("x", "1", "coarse", "2")
-    y = run_bytes("y", "3", "coarse", "2")
+    x = run_bytes("x", "coarse", "2")
+    y = run_bytes("y", "coarse", "2")
     assert x == y
 
 

@@ -127,15 +127,17 @@ def test_double_median_reported(k23):
     assert sorted(info.value.report()["candidates"]) == [0, 1]
 
 
-def test_dense_witness_above_table_limit(monkeypatch):
-    # above TABLE_LIMIT the dense scan builds its interval rows itself;
+def test_dense_witness_matches_packed_intervals():
+    # the dense scan builds its interval rows in blocks at every size;
     # the witness must be the one the packed table gives
     k23 = MedianGraph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
-    monkeypatch.setattr(median_core, "TABLE_LIMIT", 0)
     with pytest.raises(MedianViolation) as info:
         k23.verify_medians()
     rep = info.value.report()
-    assert rep["triple"] == (2, 3, 4) and rep["candidates"] == [0, 1]
+    x, y, z = rep["triple"]
+    p = k23.packed_intervals()
+    meet = np.unpackbits(p[x, y] & p[y, z] & p[z, x], bitorder="little", count=k23.n)
+    assert rep["triple"] == (2, 3, 4) and rep["candidates"] == np.flatnonzero(meet).tolist() == [0, 1]
 
 
 def test_verify_medians_keeps_no_table(grid4):

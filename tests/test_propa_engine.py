@@ -32,20 +32,29 @@ from mediancert.propa_engine import (
 
 
 class DictProvider:
-    """Hand-built witness sets for exercising the failure paths."""
+    """Hand-built witness sets for exercising the failure paths, on
+    points 0..n_points-1 of a line."""
 
     name = "dict"
+    den = 1
 
     def __init__(self, n_points, table, basepoint=0):
-        self.point_count = n_points
+        self.n_points = n_points
         self.basepoint = basepoint
         self.table = table
 
-    def distance(self, x, y):
-        return abs(x - y)
+    @property
+    def distance_table(self):
+        line = np.arange(self.n_points)
+        return abs(line[:, None] - line)
 
     def sets(self, x, k, l):
-        return VertexSet.of(self.point_count, self.table[(x, k)])
+        return VertexSet.of(self.n_points, self.table[(x, k)])
+
+
+def table_distance(provider, x, y):
+    """d(x, y) as the engine reads it: the table entry over den."""
+    return Fraction(int(provider.distance_table[x, y]), provider.den)
 
 
 # -- normalized indicators ----------------------------------------------
@@ -266,8 +275,9 @@ class PairProvider(DictProvider):
         super().__init__(n_points, table)
         self.m = m
 
-    def distance(self, x, y):
-        return self.m * abs(x - y)
+    @property
+    def distance_table(self):
+        return self.m * super().distance_table
 
 
 @st.composite
@@ -346,7 +356,7 @@ def former_xi(provider, x, n):
 
 
 def former_pair_distance(provider, x, y):
-    d = provider.distance(x, y)
+    d = table_distance(provider, x, y)
     if d != int(d):
         return None
     return int(d)
@@ -368,7 +378,7 @@ def former_verify_conditions(provider, n, sample, max_pairs=None):
             if len(s) == 1 and base in s:
                 saturated += 1
         if reach is not None:
-            radius = max(radius, max(math.ceil(provider.distance(x, z)) for z in reach))
+            radius = max(radius, max(math.ceil(table_distance(provider, x, z)) for z in reach))
     pairs = []
     for i, x in enumerate(sample):
         for y in sample[i + 1:]:
@@ -509,10 +519,7 @@ class LineProvider(DictProvider):
 
     def __init__(self, n_points, table, basepoint, scale):
         super().__init__(n_points, table, basepoint)
-        self.scale = scale
-
-    def distance(self, x, y):
-        return Fraction(abs(x - y), self.scale)
+        self.den = scale
 
 
 @st.composite
@@ -607,7 +614,7 @@ class FormerCat0:
     def __init__(self, provider):
         self.provider = provider
         self.basepoint = provider.basepoint
-        self.distance = provider.distance
+        self.distance_table, self.den = provider.distance_table, provider.den
 
     def sets(self, x, k, l):
         if not (1 <= k <= 3 * l):
@@ -746,8 +753,30 @@ def test_rows_match_former_code_on_quarter_metric():
     inst = CoarseMedianInstance(quarter, grid.mu, d=grid.d)
     prov = CoarseWitnessProvider(inst, 0)
     sample = list(range(inst.n))
-    assert any(prov.distance(x, y) != int(prov.distance(x, y)) for x in sample for y in sample)
+    assert any(inst.rho(x, y) != int(inst.rho(x, y)) for x in sample for y in sample)
     assert_same_as_former(prov, prov, [1, 2], [1, 2], sample)
+
+
+@pytest.mark.parametrize("w, h, scale, den, centers, radius, p_n", [
+    # numerators past int32 over den 3: every distance is at least
+    # 2^32/3, so each set holds one point and no pair is in reach
+    (2, 2, Fraction(2**31, 3), 3, list(range(1, 13)), 0, 1),
+    # small numerators over a den that int32 cannot hold, so that the
+    # engine's remainders by den stay exact
+    (1, 1, Fraction(1, 2**40), 2**39, list(range(5)), 1, 5),
+])
+def test_rows_match_former_code_on_object_numerators(w, h, scale, den, centers, radius, p_n):
+    # the coarse-grid metric scaled: Python ints in an object table
+    grid = coarsened_grid(w, h)
+    inst = CoarseMedianInstance(
+        [[v * scale for v in row] for row in grid.dist_int.tolist()], grid.mu, d=grid.d,
+    )
+    assert inst.nums.dtype == object and inst.den == den
+    prov = CoarseWitnessProvider(inst, 0)
+    sample = eligible_sample(prov, 1)
+    assert sample == former_eligible_sample(prov, 1) == centers
+    (cert,) = assert_same_as_former(prov, prov, [1], [1], sample)
+    assert (cert.support_radius, cert.p_n) == (radius, p_n)
 
 
 def test_xi_is_scaled_until_entries_are_read(path13):
@@ -766,7 +795,7 @@ def test_eligible_sample_margin_and_fallback(grid3, grid6):
     prov = Cat0WitnessProvider(grid6, 0)
     got = eligible_sample(prov, 2)
     assert got == [17, 22, 23, 27, 28, 29, 32, 33, 34, 35]
-    assert all(prov.distance(x, 0) >= 7 for x in got)
+    assert all(grid6.distance(x, 0) >= 7 for x in got)
     # 3x3 grid has diameter 4 < 7: margin empties it, keep everything
     small = Cat0WitnessProvider(grid3, 0)
     assert eligible_sample(small, 2) == list(range(9))
@@ -780,25 +809,40 @@ def test_eligible_sample_limit_deterministic(grid6):
     assert set(a) <= set(eligible_sample(prov, 2))
 
 
-class PairByPair:
-    """A provider's distances without its table: eligible_sample asks
-    them point by point."""
-
-    def __init__(self, provider):
-        self.point_count, self.basepoint = provider.point_count, provider.basepoint
-        self.distance = provider.distance
+def former_eligible_sample(provider, n_max, min_distance=None, limit=None, seed=0):
+    """eligible_sample as a loop over the points, each distance read
+    from the table over den."""
+    if min_distance is None:
+        min_distance = 3 * n_max + 1
+    count = len(provider.distance_table)
+    pts = [x for x in range(count) if table_distance(provider, x, provider.basepoint) >= min_distance]
+    if not pts:
+        pts = list(range(count))
+    if limit is not None and len(pts) > limit:
+        pts = sorted(random.Random(seed).sample(pts, limit))
+    return pts
 
 
 def test_eligible_sample_row_matches_pair_by_pair(grid6):
-    # the basepoint's row of an integer table gives the same centers
+    # the basepoint's row of the table gives the centers of the loop
     providers = [Cat0WitnessProvider(grid6, b) for b in (0, 17, 35)]
     providers += [CoarseWitnessProvider(coarsened_grid(3, 2), b) for b in (0, 4)]
+    grid = coarsened_grid(2, 2)
+    quarter = [[Fraction(v, 4) for v in row] for row in grid.dist_int.tolist()]
+    providers.append(CoarseWitnessProvider(CoarseMedianInstance(quarter, grid.mu, d=grid.d), 3))
     for prov in providers:
-        assert getattr(prov, "distance_table", None) is not None
         for min_distance in (None, 0, 1, 3, 5, 100):
             for limit in (None, 3):
                 got = eligible_sample(prov, 2, min_distance, limit, seed=5)
-                assert got == eligible_sample(PairByPair(prov), 2, min_distance, limit, seed=5)
-    for bad in (-1, 36):
-        with pytest.raises(ValueError, match="out of range"):
-            eligible_sample(Cat0WitnessProvider(grid6, bad), 2)
+                assert got == former_eligible_sample(prov, 2, min_distance, limit, seed=5)
+
+
+def test_eligible_sample_refuses_basepoint_out_of_range(grid6):
+    # one message for every provider, naming the basepoint
+    inst = coarsened_grid(2, 2)
+    for make, count in ((lambda b: Cat0WitnessProvider(grid6, b), 36),
+                        (lambda b: CoarseWitnessProvider(inst, b), 13)):
+        for bad in (-1, count):
+            with pytest.raises(ValueError) as err:
+                eligible_sample(make(bad), 2)
+            assert str(err.value) == f"basepoint {bad} out of range 0..{count - 1}"

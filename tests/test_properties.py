@@ -423,9 +423,14 @@ def reference_closure_rank(g, mem):
 
 
 def reference_majority_closure(points, cap: int) -> list[int]:
-    """The generator's former closure of ints under bitwise majority."""
+    """The generator's former closure of ints under bitwise majority,
+    refused when it holds more than ``cap`` points, the input included."""
     cur = set(int(p) for p in points)
     while True:
+        if len(cur) > cap:
+            raise BudgetExceeded(
+                "majority closure exceeded its cap", cap=cap, size=len(cur)
+            )
         fresh = set()
         lst = sorted(cur)
         for i, a in enumerate(lst):
@@ -439,10 +444,6 @@ def reference_majority_closure(points, cap: int) -> list[int]:
         if not fresh:
             return sorted(cur)
         cur |= fresh
-        if len(cur) > cap:
-            raise BudgetExceeded(
-                "majority closure exceeded its cap", cap=cap, size=len(cur)
-            )
 
 
 def outcome(fn, *args):
@@ -517,6 +518,8 @@ def nearby_points(draw):
 @given(case=nearby_points(), cap=st.sampled_from([4, 16, 4096]))
 @example(case=(64, [(1 << 64) - 1, 1 << 63, 5]), cap=4096)
 @example(case=(70, [1 << 69, (1 << 64) - 1, 1 << 64 | 3, 6]), cap=4)
+# already closed, but one point over the cap
+@example(case=(3, [0, 1, 2, 4, 3]), cap=4)
 def test_majority_closure_matches_int_closure(case, cap):
     d, points = case
     want = outcome(reference_majority_closure, points, cap)
