@@ -165,7 +165,8 @@ class CoarseMedianInstance:
     def _worst(self, p, q) -> Fraction:
         """The largest rho(p[i], q[i]) over paired point arrays; 0 when
         they are empty."""
-        return Fraction(int(self.nums[p, q].max(initial=0)), self.den)
+        flat = np.asarray(p, dtype=np.intp) * self.n + q
+        return Fraction(int(self.nums.ravel()[flat].max(initial=0)), self.den)
 
     def _offsets(self, a: int, b: int) -> np.ndarray:
         """nums[mu(a, b, x), x] for every point x."""
@@ -261,13 +262,17 @@ def _h0_exhaustive(inst: CoarseMedianInstance, k: Fraction,
 
 
 def _sextuple_sample(inst: CoarseMedianInstance, budget: int, seed: int):
-    """Displacement numerators (args, mu) for a seeded sextuple sample."""
+    """Displacement numerators (args, mu) for a seeded sextuple sample.
+    Each draw reads the tables through one flat index per lookup."""
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, inst.n, size=(budget, 6))
-    mu = inst.mu
-    d = _wide(inst.nums)
-    lhs = d[mu[idx[:, 0], idx[:, 1], idx[:, 2]], mu[idx[:, 3], idx[:, 4], idx[:, 5]]]
-    rhs = d[idx[:, 0], idx[:, 3]] + d[idx[:, 1], idx[:, 4]] + d[idx[:, 2], idx[:, 5]]
+    n = inst.n
+    x = np.ascontiguousarray(rng.integers(0, n, size=(budget, 6)).T)
+    mu = inst.mu.ravel()
+    d = _wide(inst.nums).ravel()
+    left = mu[(x[0] * n + x[1]) * n + x[2]].astype(np.intp)
+    right = mu[(x[3] * n + x[4]) * n + x[5]]
+    lhs = d[left * n + right]
+    rhs = d[x[0] * n + x[3]] + d[x[1] * n + x[4]] + d[x[2] * n + x[5]]
     return lhs, rhs
 
 
@@ -297,10 +302,13 @@ def _gamma_exhaustive(inst: CoarseMedianInstance) -> Fraction:
 
 def _gamma_sampled(inst: CoarseMedianInstance, budget: int, seed: int) -> Fraction:
     rng = np.random.default_rng(seed ^ 0x5EED)
-    idx = rng.integers(0, inst.n, size=(budget, 5))
-    mu = inst.mu
-    x, y, z, v, w = (idx[:, i] for i in range(5))
-    return inst._worst(mu[x, y, mu[z, v, w]], mu[mu[x, y, z], mu[x, y, v], w])
+    n = inst.n
+    x, y, z, v, w = np.ascontiguousarray(rng.integers(0, n, size=(budget, 5)).T)
+    mu = inst.mu.ravel()
+    xy = (x * n + y) * n  # mu(x, y, c) = mu[xy + c]
+    lhs = mu[xy + mu[(z * n + v) * n + w]]
+    rhs = mu[(mu[xy + z].astype(np.intp) * n + mu[xy + v]) * n + w]
+    return inst._worst(lhs, rhs)
 
 
 def estimate_params(inst: CoarseMedianInstance, budget: int = 200_000,
@@ -334,9 +342,10 @@ def estimate_params(inst: CoarseMedianInstance, budget: int = 200_000,
             f"no multiplier below {K_GRID[-1]} fits within the cap",
             cap=str(h0_cap),
         )
-    mu, z = inst.mu, np.arange(inst.n)
-    proj = mu[z[:, None, None], z[None, :, None], mu]  # mu(x, y, mu(x, y, z))
-    lam = inst._worst(proj.ravel(), mu.ravel())
+    n = inst.n
+    mu = inst.mu.ravel()
+    xy = np.arange(n * n)[:, None] * n  # mu(x, y, c) = mu[xy + c]
+    lam = inst._worst(mu[xy + mu.reshape(n * n, n)].ravel(), mu)
     params = CoarseParams(K=fit[0], H0=fit[1], gamma=gamma, lam=lam)
     inst.params = params
     return params

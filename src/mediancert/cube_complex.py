@@ -22,7 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CornerFailure, NotMedian
-from .median_core import MedianGraph, VertexSet, WallCodes, _mask_members, _pack_mask
+from .median_core import (
+    MedianGraph,
+    VertexSet,
+    WallCodes,
+    _mask_members,
+    _pack_mask,
+    _split_keys,
+)
 
 # Working-set cap of one block of step_map's wide-step check, in uint64
 # words (128 KiB).  A block this small stays in cache, and, being under
@@ -47,12 +54,49 @@ class Hyperplane:
         return ((self.minus_side.mask >> x) ^ (self.minus_side.mask >> y)) & 1 == 1
 
 
-def _edge_relation(g: MedianGraph) -> np.ndarray:
-    ea, eb = g.edge_array.T
-    d = g.dist
-    lhs = d[ea[:, None], ea[None, :]] + d[eb[:, None], eb[None, :]]
-    rhs = d[ea[:, None], eb[None, :]] + d[eb[:, None], ea[None, :]]
-    return lhs != rhs
+# Cap on one block of _intransitive_pair, in bytes of its bool rows
+_PAIR_BYTES = 1 << 22
+
+
+def _intransitive_pair(g: MedianGraph) -> tuple[int, int]:
+    """The first indices (i, j), in row-major order, of two edges that
+    the relation joins in two steps but not in one, on a connected
+    bipartite graph without sign codes.
+
+    On a bipartite graph, edge f is related to edge e = (a, b) exactly
+    when f's ends lie on two sides of e's split {v : d(v, a) < d(v, b)};
+    so e's row of the relation depends only on its split up to
+    complement, and is computed from the packed splits (m x n/8 bytes), a
+    block of rows at a time.  Since the relation is symmetric, j is two
+    steps from i when their rows meet.  Row i has such a j outside it
+    exactly when some edge related to i has a row that is not inside
+    i's, which needs a related edge with another split."""
+    n = g.n
+    a, b = g.edge_array.T
+    keys, first, split = _split_keys(g.dist, g.edge_array)
+    step = max(1, _PAIR_BYTES // len(a))
+
+    def rows(edges: np.ndarray) -> np.ndarray:
+        side = np.unpackbits(keys[edges], axis=1, count=n, bitorder="little").view(bool)
+        return side[:, a] != side[:, b]
+
+    def first_hit(edges: np.ndarray, test) -> int | None:
+        """The first of ``edges`` whose row passes ``test``."""
+        for lo in range(0, len(edges), step):
+            hit = test(rows(edges[lo:lo + step]))
+            if hit.any():
+                return int(edges[lo + int(hit.argmax())])
+        return None
+
+    for lo in range(0, len(first), step):  # each split at its first edge
+        block = first[lo:lo + step]
+        mixed = (rows(block) & (split != split[block, None])).any(axis=1)
+        for i in block[mixed].tolist():
+            row = rows([i])[0]
+            related = first[np.unique(split[row])]  # one edge per split
+            if first_hit(related, lambda r: (r & ~row).any(axis=1)) is not None:
+                return i, first_hit(np.flatnonzero(~row), lambda r: (r & row).any(axis=1))
+    raise AssertionError("a bipartite graph whose related edges share splits has sign codes")
 
 
 def _codes(g: MedianGraph) -> WallCodes:
@@ -67,9 +111,7 @@ def _codes(g: MedianGraph) -> WallCodes:
     odd = np.flatnonzero(color[g.edge_array[:, 0]] == color[g.edge_array[:, 1]])
     if len(odd):
         raise NotMedian("graph has an odd cycle", edge=g.edges[odd[0]])
-    rel = _edge_relation(g)
-    hops = rel.astype(np.float32)
-    i, j = np.argwhere((hops @ hops > 0) & ~rel)[0]
+    i, j = _intransitive_pair(g)
     raise NotMedian("edge relation is not transitive", edges=(g.edges[i], g.edges[j]))
 
 

@@ -4,8 +4,16 @@ Graph files: a "vertices N" header, then one "e u v" line per edge;
 "#" starts a comment.  Instance files: "points N", optional "rank d",
 then a "metric explicit" section with N*(N-1)/2 lines "d i j value"
 (value an integer or num/den) and a "mu explicit" section with one line
-"m i j k v" per triple.  Sections left out of an instance file are
-filled from a graph when one is supplied alongside.
+"m i j k v" per triple; a pair or a triple listed twice is refused.
+Sections left out of an instance file are filled from a graph when one
+is supplied alongside.
+
+Files are read as bytes.  A file in the layout the writers use takes
+the bulk path: it is ASCII with "\n" as its only line break, and each
+"e", "d" and "m" line is the tag and then exactly 2, 3 or 4 tokens of
+at most 18 digits, each after one space.  Those lines are parsed by
+array operations, and the few others one by one.  Every other file is
+read line by line, with the same results and the same messages.
 
 Exit status is 0 only when every requested check passed; failures,
 argument errors included, print one JSON object naming the violated
@@ -18,14 +26,13 @@ import argparse
 import csv
 import functools
 import io
-import itertools
 import json
-import operator
 import os
 import random
 import sys
 import tempfile
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -231,76 +238,6 @@ def write_graph_text(g: MedianGraph) -> str:
     return f"vertices {g.n}\n" + _write_tagged("e", g.edge_array)
 
 
-def _read_graph_lines(lines: list[str]) -> tuple[int | None, list[tuple[int, int]]]:
-    """The header and the edges of a graph file, line by line: raises at
-    the first line that cannot be read or that repeats an edge."""
-    n = None
-    edges: list[tuple[int, int]] = []
-    seen = set()
-    for no, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "vertices" and len(parts) == 2:
-            n = int(parts[1])
-        elif parts[0] == "e" and len(parts) == 3:
-            u, v = int(parts[1]), int(parts[2])
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"line {no}: duplicate edge {key}")
-            seen.add(key)
-            edges.append((u, v))
-        else:
-            raise ValueError(f"line {no}: cannot parse {raw!r}")
-    return n, edges
-
-
-def _read_graph_bulk(lines: list[str]) -> tuple[int | None, np.ndarray] | None:
-    """What _read_graph_lines reads, with the "e" lines in one numpy
-    pass; None, leaving the file to _read_graph_lines, unless every other
-    line is blank, a comment or a "vertices N" header and numpy reads
-    every "e" line as two int64 ids."""
-    is_edge = list(map(str.startswith, lines, itertools.repeat(("e ", "e\t"))))
-    edges = _read_tagged(list(itertools.compress(lines, is_edge)), 2)
-    if edges is None:
-        return None
-    n = None
-    for raw in itertools.compress(lines, map(operator.not_, is_edge)):
-        parts = raw.split("#", 1)[0].split()
-        if not parts:
-            continue
-        if parts[0] != "vertices" or len(parts) != 2:
-            return None
-        try:
-            n = int(parts[1])
-        except ValueError:
-            return None
-    # the line by line reader stops at the second line of the first
-    # repeated edge: the smallest later index among equal keys
-    lo, hi = np.minimum(edges[:, 0], edges[:, 1]), np.maximum(edges[:, 0], edges[:, 1])
-    order = np.lexsort((hi, lo))
-    again = order[1:][(lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])]
-    if len(again):
-        i = int(again.min())
-        no = int(np.flatnonzero(is_edge)[i]) + 1
-        raise ValueError(f"line {no}: duplicate edge {(int(lo[i]), int(hi[i]))}")
-    return n, edges
-
-
-def parse_graph_text(text: str) -> MedianGraph:
-    return _parse_graph_lines(text.splitlines())
-
-
-def _parse_graph_lines(lines: list[str]) -> MedianGraph:
-    # all but a line or two of a graph file are "e" lines: read them in
-    # bulk, and the file line by line only when that fails
-    n, edges = _read_graph_bulk(lines) or _read_graph_lines(lines)
-    if n is None:
-        raise ValueError("missing 'vertices N' header")
-    return MedianGraph(n, edges)
-
-
 def _frac_str(f) -> str:
     f = Fraction(f)
     return f"{f.numerator}/{f.denominator}"
@@ -325,18 +262,275 @@ def write_instance_text(inst: CoarseMedianInstance) -> str:
     return out.getvalue()
 
 
-def _read_tagged(lines: list[str], width: int) -> np.ndarray | None:
-    """(k, width) int64 rows of lines that each hold a one-letter tag and
-    ``width`` integers, in one numpy pass, or None when numpy refuses
-    one: a line it cannot read that way is left to a line-by-line
-    reader, which names it."""
-    if not lines:
-        return np.empty((0, width), dtype=np.int64)
-    tagged = np.dtype([("tag", "U1"), ("ids", np.int64, (width,))])
+# Reading.  A plain file (ASCII, and no line break but "\n", so that its
+# lines are exactly the str.splitlines() lines) is read as bytes: its
+# tagged lines in bulk, its few other lines one by one through the line
+# reader.  The bulk path refuses nothing: on any line it does not take,
+# the whole file goes to the line reader, the one place that names a bad
+# line, so every message and line number is the line reader's.
+
+# bytes per block of _split_tagged, rounded down to whole lines
+_READ_BYTES = 1 << 20
+
+
+def _plain(buf: bytes) -> bool:
+    return buf.isascii() and not any(c in buf for c in b"\r\v\f\x1c\x1d\x1e")
+
+
+def _read_tagged(b: np.ndarray, lines: int, width: int) -> np.ndarray | None:
+    """(lines, width) rows of ``lines`` whole lines in a uint8 array,
+    each starting with a one-byte tag and a space; None unless every line
+    then holds exactly ``width`` tokens of 1 to 18 digits (so each fits
+    in int64), each after one space, and ends in a newline.  The rows
+    are int32 when no token has more than 9 digits, else int64.  The
+    writing counterpart is _write_tagged."""
+    delim = (b == 32) | (b == 10)
+    ends = np.flatnonzero(delim)
+    if len(ends) != lines * (width + 1):
+        return None
+    ends = ends.reshape(lines, width + 1)
+    # b holds one newline per line: when each line's last delimiter is
+    # one, every other delimiter is a space
+    if not (b[ends[:, -1]] == 10).all():
+        return None
+    # and then the bytes that are no digit and no delimiter must be the
+    # tags alone
+    digits = b - np.uint8(48)
+    if np.count_nonzero(delim | (digits < 10)) != len(b) - lines:
+        return None
+    size = ends[:, 1:] - ends[:, :-1] - 1
+    wide = int(size.max())
+    if size.min() < 1 or wide > 18:
+        return None
+    last = ends[:, 1:] - 1  # the last digit of each token
+    rows = digits[last].astype(np.int32 if wide <= 9 else np.int64)
+    for p in range(1, wide):
+        digit = digits[last - p]
+        digit[size <= p] = 0
+        rows += digit.astype(rows.dtype) * 10 ** p
+    return rows
+
+
+def _split_tagged(buf: bytes, widths: dict[bytes, int]):
+    """A plain file as its other lines, a list of (line number, text),
+    and {tag: (k, width) int rows} of its lines "tag v1 ... v_width"
+    in file order; None when a line that starts with a tag and a space
+    is not taken by _read_tagged.  Blocks of whole lines keep every
+    per-byte array to about _READ_BYTES."""
+    if not buf.endswith(b"\n"):
+        buf += b"\n"
+    arr = np.frombuffer(buf, dtype=np.uint8)
+    others: list[tuple[int, str]] = []
+    rows: dict[bytes, list[np.ndarray]] = {tag: [] for tag in widths}
+    pos = no = 0
+    while pos < len(buf):
+        hi = buf.rfind(b"\n", pos, pos + _READ_BYTES) + 1 or buf.index(b"\n", pos) + 1
+        b = arr[pos:hi]
+        nl = np.flatnonzero(b == 10)
+        starts = np.concatenate(([0], nl[:-1] + 1))
+        first, second = b[starts], b[np.minimum(starts + 1, len(b) - 1)]
+        other = np.ones(len(nl), dtype=bool)
+        for tag, width in widths.items():
+            mine = (first == tag[0]) & (second == 32)
+            if not mine.any():
+                continue
+            other &= ~mine
+            part = b if mine.all() else b[np.repeat(mine, np.diff(nl, prepend=-1))]
+            got = _read_tagged(part, int(np.count_nonzero(mine)), width)
+            if got is None:
+                return None
+            rows[tag].append(got)
+        for i in np.flatnonzero(other).tolist():
+            others.append((no + i + 1, buf[pos + int(starts[i]):pos + int(nl[i])].decode()))
+        no += len(nl)
+        pos = hi
+    return others, {
+        tag: np.concatenate(rows[tag]) if rows[tag] else np.empty((0, width), dtype=np.int32)
+        for tag, width in widths.items()
+    }
+
+
+def _repeats(pairs: np.ndarray) -> bool:
+    """Whether two rows of a (k, 2) int array hold one unordered pair."""
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    order = np.lexsort((hi, lo))
+    return bool(((np.diff(lo[order]) == 0) & (np.diff(hi[order]) == 0)).any())
+
+
+def _read_graph_lines(numbered) -> tuple[int | None, list[tuple[int, int]]]:
+    """The header and the edges of a graph file from its (line number,
+    text) pairs: raises at the first line that cannot be read or that
+    repeats an edge."""
+    n = None
+    edges: list[tuple[int, int]] = []
+    seen = set()
+    for no, raw in numbered:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "vertices" and len(parts) == 2:
+            n = int(parts[1])
+        elif parts[0] == "e" and len(parts) == 3:
+            u, v = int(parts[1]), int(parts[2])
+            key = (min(u, v), max(u, v))
+            if key in seen:
+                raise ValueError(f"line {no}: duplicate edge {key}")
+            seen.add(key)
+            edges.append((u, v))
+        else:
+            raise ValueError(f"line {no}: cannot parse {raw!r}")
+    return n, edges
+
+
+def _read_graph_bytes(buf: bytes) -> tuple[int | None, np.ndarray] | None:
+    """What _read_graph_lines reads from a plain file, with the "e" lines
+    in bulk; None, leaving the file to _read_graph_lines, unless the
+    bulk reader takes every "e" line, the line reader takes every other
+    line without an edge, and no edge repeats."""
+    split = _split_tagged(buf, {b"e": 2})
+    if split is None:
+        return None
+    others, rows = split
     try:
-        return np.loadtxt(lines, dtype=tagged, comments="#", ndmin=1)["ids"]
+        n, edges = _read_graph_lines(others)
     except ValueError:
         return None
+    if edges or _repeats(rows[b"e"]):
+        return None
+    return n, rows[b"e"]
+
+
+def _parse_graph(buf: bytes | None, lines) -> MedianGraph:
+    """The graph of a file: ``buf`` is its bytes when plain, else None,
+    and ``lines()`` gives its lines."""
+    read = _read_graph_bytes(buf) if buf is not None else None
+    n, edges = read or _read_graph_lines(enumerate(lines(), 1))
+    if n is None:
+        raise ValueError("missing 'vertices N' header")
+    return MedianGraph(n, edges)
+
+
+def _plain_bytes(text: str) -> bytes | None:
+    """The bytes of ``text`` when they are plain, else None."""
+    if not text.isascii():
+        return None
+    buf = text.encode()
+    return buf if _plain(buf) else None
+
+
+def parse_graph_text(text: str) -> MedianGraph:
+    return _parse_graph(_plain_bytes(text), text.splitlines)
+
+
+class _InstanceText(NamedTuple):
+    """What an instance file lists: ``pairs`` (k, 2) and ``vals`` (k,)
+    from its "d" lines, ``rows`` (k, 4) from its "m" lines, each in file
+    order.  Each is an int array, or an object array of Python ints
+    when an entry is past int64; ``vals`` also when one is a Fraction."""
+
+    n: int | None
+    d: int | None
+    have_metric: bool
+    have_mu: bool
+    pairs: np.ndarray
+    vals: np.ndarray
+    rows: np.ndarray
+
+
+def _read_instance_lines(numbered) -> _InstanceText:
+    """The sections of an instance file from its (line number, text)
+    pairs: raises at the first line that cannot be read, has a rank
+    below 0 or a zero denominator, or lists a pair twice."""
+    n = d = None
+    pairs: list[tuple[int, int]] = []
+    vals: list[int | Fraction] = []
+    rows: list[list[int]] = []
+    seen = set()
+    have_metric = have_mu = False
+    for no, raw in numbered:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "points" and len(parts) == 2:
+            n = int(parts[1])
+        elif parts[0] == "rank" and len(parts) == 2:
+            d = int(parts[1])
+            if d < 0:
+                raise ValueError(f"line {no}: rank {d} is below 0")
+        elif line == "metric explicit":
+            have_metric = True
+        elif line == "mu explicit":
+            have_mu = True
+        elif parts[0] == "d" and len(parts) == 4:
+            v = parts[3]
+            try:
+                vals.append(int(v) if v.isascii() and v.isdigit() else Fraction(v))
+            except ZeroDivisionError:
+                raise ValueError(f"line {no}: zero denominator in {raw!r}") from None
+            i, j = int(parts[1]), int(parts[2])
+            key = (min(i, j), max(i, j))
+            if key in seen:
+                raise ValueError(f"line {no}: pair ({key[0]},{key[1]}) listed twice")
+            seen.add(key)
+            pairs.append((i, j))
+        elif parts[0] == "m" and len(parts) == 5:
+            rows.append([int(x) for x in parts[1:]])
+        else:
+            raise ValueError(f"line {no}: cannot parse {raw!r}")
+    # an int table unless a value is a Fraction or too large for int64
+    wide = any(type(v) is Fraction or v >= 2**63 for v in vals)
+    return _InstanceText(
+        n, d, have_metric, have_mu, _int_rows(pairs, 2),
+        np.array(vals, dtype=object if wide else np.int64), _int_rows(rows, 4),
+    )
+
+
+def _int_rows(rows: list, width: int) -> np.ndarray:
+    """(k, width) int64 rows, or Python ints when one is past int64."""
+    try:
+        return np.array(rows, dtype=np.int64).reshape(-1, width)
+    except OverflowError:
+        return np.array(rows, dtype=object).reshape(-1, width)
+
+
+def _read_instance_bytes(buf: bytes) -> _InstanceText | None:
+    """What _read_instance_lines reads from a plain file, with the "d"
+    and "m" lines in bulk; None, leaving the file to
+    _read_instance_lines, unless the bulk reader takes every "d" and
+    "m" line, the line reader takes every other line without a "d" or
+    "m" line among them, and no pair repeats."""
+    split = _split_tagged(buf, {b"d": 3, b"m": 4})
+    if split is None:
+        return None
+    others, rows = split
+    try:
+        head = _read_instance_lines(others)
+    except ValueError:
+        return None
+    metric = rows[b"d"]
+    if len(head.pairs) or len(head.rows) or _repeats(metric[:, :2]):
+        return None
+    return head._replace(pairs=metric[:, :2], vals=metric[:, 2].astype(np.int64), rows=rows[b"m"])
+
+
+def _metric_table(pairs: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    """The n x n table of the "d" lines, each pair listed once, in the
+    dtype of ``vals``: every id in 0..n-1 and every pair listed."""
+    inside = ((pairs >= 0) & (pairs < n)).all(axis=1)
+    if not inside.all():
+        i, j = pairs[inside.argmin()].tolist()
+        raise ValueError(f"d line {i} {j}: point out of range 0..{n - 1}")
+    i, j = pairs.astype(np.intp).T
+    dist = np.zeros((n, n), dtype=vals.dtype)
+    dist[i, j] = dist[j, i] = vals
+    listed = np.eye(n, dtype=bool)
+    listed[i, j] = listed[j, i] = True
+    if not listed.all():
+        i, j = np.argwhere(~listed)[0].tolist()
+        raise ValueError(f"missing distance for pair ({i},{j})")
+    return dist
 
 
 def _check_mu_rows(rows: np.ndarray, n: int) -> np.ndarray:
@@ -346,8 +540,7 @@ def _check_mu_rows(rows: np.ndarray, n: int) -> np.ndarray:
         bad = ((rows < 0) | (rows >= n)).any(axis=1)
         i, j, k, v = rows[bad][0].tolist()
         raise ValueError(f"m line {i} {j} {k} {v}: entry out of range 0..{n - 1}")
-    rows = rows.astype(np.int64, copy=False)
-    key = (rows[:, 0] * n + rows[:, 1]) * n + rows[:, 2]
+    key = (rows[:, 0].astype(np.int64) * n + rows[:, 1]) * n + rows[:, 2]
     twice = np.flatnonzero(np.bincount(key, minlength=n ** 3) > 1)
     if len(twice):
         i, jk = divmod(int(twice[0]), n * n)
@@ -359,51 +552,13 @@ def _check_mu_rows(rows: np.ndarray, n: int) -> np.ndarray:
     return mu.reshape(n, n, n)
 
 
-def parse_instance_text(text: str, graph: MedianGraph | None = None) -> CoarseMedianInstance:
-    return _parse_instance_lines(text.splitlines(), graph)
-
-
-def _parse_instance_lines(lines: list[str], graph: MedianGraph | None) -> CoarseMedianInstance:
-    # all but a handful of an instance file's lines are "m" lines: read
-    # them in bulk, and everything else (if numpy refuses one, every
-    # line) one by one
-    bulk = list(map(str.startswith, lines, itertools.repeat("m ")))
-    rows = _read_tagged(list(itertools.compress(lines, bulk)), 4)
-    if rows is None:
-        bulk = [False] * len(lines)
-        rows = np.empty((0, 4), dtype=np.int64)
-    n = None
-    d = None
-    metric: dict[tuple[int, int], int | Fraction] = {}
-    more_rows: list[list[int]] = []
-    have_metric = have_mu = False
-    for no in itertools.compress(itertools.count(), map(operator.not_, bulk)):
-        raw = lines[no]
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "points" and len(parts) == 2:
-            n = int(parts[1])
-        elif parts[0] == "rank" and len(parts) == 2:
-            d = int(parts[1])
-            if d < 0:
-                raise ValueError(f"line {no + 1}: rank {d} is below 0")
-        elif line == "metric explicit":
-            have_metric = True
-        elif line == "mu explicit":
-            have_mu = True
-        elif parts[0] == "d" and len(parts) == 4:
-            v = parts[3]
-            try:
-                metric[(int(parts[1]), int(parts[2]))] = \
-                    int(v) if v.isascii() and v.isdigit() else Fraction(v)
-            except ZeroDivisionError:
-                raise ValueError(f"line {no + 1}: zero denominator in {raw!r}") from None
-        elif parts[0] == "m" and len(parts) == 5:
-            more_rows.append([int(x) for x in parts[1:]])
-        else:
-            raise ValueError(f"line {no + 1}: cannot parse {raw!r}")
+def _parse_instance(buf: bytes | None, lines,
+                    graph: MedianGraph | None = None) -> CoarseMedianInstance:
+    """The instance of a file, as _parse_graph reads a graph; sections
+    it leaves out come from ``graph``."""
+    read = _read_instance_bytes(buf) if buf is not None else None
+    n, d, have_metric, have_mu, pairs, vals, rows = \
+        read or _read_instance_lines(enumerate(lines(), 1))
     if n is None:
         raise ValueError("missing 'points N' header")
     if n < 1:
@@ -415,25 +570,12 @@ def _parse_instance_lines(lines: list[str], graph: MedianGraph | None) -> Coarse
     if graph is not None and graph.n != n:
         raise ValueError("graph and instance point counts differ")
     if have_metric:
-        # an int table unless a value is a Fraction or too large for int64
-        wide = any(type(v) is Fraction or v >= 2**63 for v in metric.values())
-        dist = np.zeros((n, n), dtype=object if wide else np.int64)
-        listed = np.eye(n, dtype=bool)
-        for (i, j), v in metric.items():
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"d line {i} {j}: point out of range 0..{n - 1}")
-            dist[i, j] = dist[j, i] = v
-            listed[i, j] = listed[j, i] = True
-        if not listed.all():
-            i, j = np.argwhere(~listed)[0].tolist()
-            raise ValueError(f"missing distance for pair ({i},{j})")
+        dist = _metric_table(pairs, vals, n)
     elif graph is not None:
         dist = graph.dist
     else:
         raise ValueError("no metric section and no graph to derive one from")
     if have_mu:
-        if more_rows:
-            rows = np.concatenate([rows, np.array(more_rows)])
         mu = _check_mu_rows(rows, n)
     elif graph is not None:
         mu = graph.median_table()
@@ -444,26 +586,41 @@ def _parse_instance_lines(lines: list[str], graph: MedianGraph | None) -> Coarse
     return CoarseMedianInstance(dist, mu, d=d)
 
 
+def parse_instance_text(text: str, graph: MedianGraph | None = None) -> CoarseMedianInstance:
+    return _parse_instance(_plain_bytes(text), text.splitlines, graph)
+
+
 def _read_text(path: str) -> str:
     with open(path, "r") as fh:
         return fh.read()
 
 
-def load_input(path: str):
-    """Graph or instance, keyed off the header word."""
-    text = _read_text(path)
-    lines = text.splitlines()
+def _header(lines) -> str:
+    """The first word of the first line that is not blank or a comment:
+    "vertices" or "points"."""
     for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         head = line.split()[0]
-        if head == "vertices":
-            return _parse_graph_lines(lines)
-        if head == "points":
-            return _parse_instance_lines(lines, None)
+        if head in ("vertices", "points"):
+            return head
         raise ValueError(f"unrecognized header {head!r}")
     raise ValueError("empty input file")
+
+
+def load_input(path: str):
+    """Graph or instance, keyed off the header word.  The file is read
+    as bytes, and as text only when it is not plain."""
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    if _plain(buf):
+        first, lines = (raw.decode() for raw in io.BytesIO(buf)), lambda: buf.decode().splitlines()
+    else:
+        text = _read_text(path).splitlines()
+        buf, first, lines = None, text, lambda: text
+    parse = _parse_graph if _header(first) == "vertices" else _parse_instance
+    return parse(buf, lines)
 
 
 # -- plumbing ----------------------------------------------------------

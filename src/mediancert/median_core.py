@@ -210,6 +210,33 @@ def _bit_of(rows: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
     return rows[r, c // 64] >> (c % 64).astype(np.uint64) & np.uint64(1)
 
 
+def _split_keys(dist: np.ndarray, ends: np.ndarray):
+    """(keys, first, inverse): row e of ``keys`` packs the split
+    {v : d(v, a) < d(v, b)} of edge e = (a, b), one little-endian bit per
+    vertex in whole uint64 words, read relative to vertex 0's side so
+    that a split and its complement have one key.  The distinct keys are
+    numbered in order of their first edge: ``first`` holds each one's
+    first edge and ``inverse`` each edge's number."""
+    n = dist.shape[0]
+    ea, eb = ends.T
+    keys = np.zeros((len(ends), 8 * -(-n // 64)), dtype=np.uint8)
+    step = max(1, _BLOCK_WORDS // n)
+    for lo in range(0, len(ends), step):
+        near = dist[:, ea[lo:lo + step]] < dist[:, eb[lo:lo + step]]
+        keys[lo:lo + step, :(n + 7) // 8] = np.packbits(near ^ near[0], axis=0, bitorder="little").T
+    words = keys.view("<u8")
+    order = np.lexsort(words.T)  # stable: equal keys keep edge order
+    words = words[order]
+    new = np.concatenate([[True], (words[1:] != words[:-1]).any(axis=1)])
+    first = order[new]
+    by_edge = np.argsort(first)
+    number = np.empty_like(by_edge)
+    number[by_edge] = np.arange(len(first))
+    inverse = np.empty(len(ends), dtype=np.intp)
+    inverse[order] = number[np.cumsum(new) - 1]
+    return keys, first[by_edge], inverse
+
+
 def _wall_codes(dist: np.ndarray, ends: np.ndarray) -> WallCodes | None:
     """Codes from one split per row of ``ends``, or None when their
     Hamming distances differ from ``dist`` somewhere (not a partial cube)."""
@@ -217,20 +244,13 @@ def _wall_codes(dist: np.ndarray, ends: np.ndarray) -> WallCodes | None:
     if not len(ends):
         return WallCodes(np.zeros((1, n), dtype=np.uint64), np.zeros(0, dtype=np.intp), 0)
     ea, eb = ends.T
-    key = np.empty((len(ends), (n + 7) // 8), dtype=np.uint8)
+    _, lead, edge_wall = _split_keys(dist, ends)  # walls in order of their first edge
+    count = len(lead)
+    plus = np.empty((n, count), dtype=bool)
     step = max(1, _BLOCK_WORDS // n)
-    for lo in range(0, len(ends), step):
-        near = dist[:, ea[lo:lo + step]] < dist[:, eb[lo:lo + step]]
-        # a split and its complement are one wall: key each by the side of 0
-        key[lo:lo + step] = np.packbits(near ^ near[0], axis=0, bitorder="little").T
-    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    by_edge = np.argsort(first)  # wall index -> unique split
-    wall_of = np.empty_like(by_edge)
-    wall_of[by_edge] = np.arange(len(by_edge))
-    edge_wall = wall_of[inverse.reshape(-1)]
-    lead = first[by_edge]
-    plus = dist[:, ea[lead]] >= dist[:, eb[lead]]
-    count = plus.shape[1]
+    for lo in range(0, count, step):
+        ends_of = lead[lo:lo + step]
+        plus[:, lo:lo + step] = dist[:, ea[ends_of]] >= dist[:, eb[ends_of]]
     words = -(-count // 64)
     raw = np.zeros((n, 8 * words), dtype=np.uint8)
     raw[:, : (count + 7) // 8] = np.packbits(plus, axis=1, bitorder="little")

@@ -9,6 +9,7 @@ from mediancert.errors import (
     NotFound,
     PreconditionViolation,
 )
+from mediancert import coarse_median
 from mediancert.harness_cli import generate
 from mediancert.median_core import MedianGraph, VertexSet, interval
 from mediancert.coarse_median import (
@@ -197,6 +198,26 @@ def test_coarsened_grid_fit(cg33):
     p = cg33.params
     assert (p.K, p.H0, p.gamma, p.lam) == (1, 0, 2, 0)
     assert cg33.m1_defect == 0 and cg33.m2_defect == 0
+
+
+def _sampled_three_axis(inst, budget, seed):
+    """The sampled sweeps as three-axis gathers: (lhs, rhs, gamma)."""
+    idx = np.random.default_rng(seed).integers(0, inst.n, size=(budget, 6))
+    mu, d = inst.mu, inst.nums.astype(object)
+    lhs = d[mu[idx[:, 0], idx[:, 1], idx[:, 2]], mu[idx[:, 3], idx[:, 4], idx[:, 5]]]
+    rhs = d[idx[:, 0], idx[:, 3]] + d[idx[:, 1], idx[:, 4]] + d[idx[:, 2], idx[:, 5]]
+    x, y, z, v, w = np.random.default_rng(seed ^ 0x5EED).integers(0, inst.n, size=(budget, 5)).T
+    far = d[mu[x, y, mu[z, v, w]], mu[mu[x, y, z], mu[x, y, v], w]]
+    return lhs, rhs, Fraction(int(far.max()), inst.den)
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(7, 3), Fraction(2**40 + 1, 3)])
+def test_sampled_sweeps_match_three_axis_gathers(cg22, scale):
+    inst = CoarseMedianInstance(cg22.dist_int * Fraction(scale), cg22.mu, d=cg22.d)
+    lhs, rhs, gamma = _sampled_three_axis(inst, 5_000, 3)
+    got_lhs, got_rhs = coarse_median._sextuple_sample(inst, 5_000, 3)
+    assert got_lhs.tolist() == lhs.tolist() and got_rhs.tolist() == rhs.tolist()
+    assert coarse_median._gamma_sampled(inst, 5_000, 3) == gamma
 
 
 def test_unfittable_instance_rejected():

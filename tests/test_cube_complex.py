@@ -1,10 +1,14 @@
 import itertools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mediancert.errors import CornerFailure, NotMedian
-from mediancert.median_core import MedianGraph, interval
+from mediancert.median_core import MedianGraph, grid, interval
 from mediancert.cube_complex import (
     Hyperplane,
     crosses,
@@ -126,8 +130,61 @@ def test_intransitive_relation_rejected(k23):
     with pytest.raises(NotMedian) as err:
         hyperplanes(k23)
     assert "transitive" in str(err.value)
-    e1, e2 = err.value.context["edges"]
-    assert {e1, e2} <= set(k23.edges)
+    assert err.value.context["edges"] == ((0, 2), (0, 3))
+
+
+def _first_two_step_pair(g):
+    """The first edge pair, in row-major order, that the relation joins
+    in two steps but not in one, from the m x m relation."""
+    ea, eb = g.edge_array.T
+    d = g.dist.astype(np.int64)
+    rel = d[ea[:, None], ea] + d[eb[:, None], eb] != d[ea[:, None], eb] + d[eb[:, None], ea]
+    hops = rel.astype(np.int64)
+    i, j = np.argwhere((hops @ hops > 0) & ~rel)[0]
+    return g.edges[i], g.edges[j]
+
+
+@st.composite
+def _bipartite_graphs(draw):
+    """A grid with some edges dropped and some chords between its two
+    colour classes added."""
+    w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    g = grid(w, h)
+    edges = [e for e in g.edges if not draw(st.booleans()) or draw(st.booleans())]
+    even, odd = (np.flatnonzero(g.dist[0] % 2 == c).tolist() for c in (0, 1))
+    chords = draw(st.lists(st.tuples(st.sampled_from(even), st.sampled_from(odd)), max_size=6))
+    try:
+        return MedianGraph(g.n, sorted({tuple(sorted(e)) for e in edges + chords}))
+    except ValueError:  # disconnected
+        assume(False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_bipartite_graphs())
+def test_intransitive_pair_is_the_first_two_step_pair(g):
+    try:
+        hyperplanes(g)
+    except NotMedian as err:
+        assert err.context["edges"] == _first_two_step_pair(g)
+    else:
+        assert g.wall_codes() is not None
+
+
+def test_dense_bipartite_graph_is_refused_in_bounded_memory():
+    # K_250,250: the m x m relation alone would take 14.6 GiB
+    g = MedianGraph(500, [(i, 250 + j) for i in range(250) for j in range(250)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotMedian) as err:
+            rank(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.report() == {
+        "error": "wall-structure", "message": "edge relation is not transitive",
+        "edges": ((0, 250), (0, 251)),
+    }
+    assert peak < 96 * 2**20
 
 
 def test_even_cycle_walls_pass_but_paths_fail(c6):

@@ -147,19 +147,21 @@ def _outcome(build):
 
 PATH3 = ("graph", 3, [(0, 1), (1, 2)])
 
-# name -> (file text, whether the bulk reader takes it, outcome)
+# name -> (file text, whether the bulk reader takes it, outcome); the
+# bulk reader refuses nothing, so a file with a repeat or a bad line is
+# left to the line reader, which names it
 GRAPH_FILES = {
     "duplicate after comments": (
-        "# a path\n# with a repeat\nvertices 3\n\ne 0 1\n# mid\ne 1 2\ne 1 0  # again\n", True,
+        "# a path\n# with a repeat\nvertices 3\n\ne 0 1\n# mid\ne 1 2\ne 1 0  # again\n", False,
         ("error", "line 8: duplicate edge (0, 1)")),
-    "two repeats": ("vertices 3\ne 0 1\ne 1 2\ne 2 1\ne 1 0\ne 0 1\n", True,
+    "two repeats": ("vertices 3\ne 0 1\ne 1 2\ne 2 1\ne 1 0\ne 0 1\n", False,
                     ("error", "line 4: duplicate edge (1, 2)")),
     "three ids": ("vertices 3\ne 0 1\ne 1 2 3\n", False, ("error", "line 3: cannot parse 'e 1 2 3'")),
-    "tab separators": ("vertices 3\ne\t0\t1\ne\t2\t1\n", True, PATH3),
-    "trailing comments": ("vertices 3\ne 0 1 # first\ne 2 1#second\n", True, PATH3),
+    "tab separators": ("vertices 3\ne\t0\t1\ne\t2\t1\n", False, PATH3),
+    "trailing comments": ("vertices 3\ne 0 1 # first\ne 2 1#second\n", False, PATH3),
     "header last": ("e 0 1\ne 1 2\nvertices 3\n", True, PATH3),
     "no header": ("e 0 1\n", True, ("error", "missing 'vertices N' header")),
-    "negative id": ("vertices 3\ne 0 1\ne 1 -1\ne 1 2\n", True, ("error", "edge (1,-1) out of range")),
+    "negative id": ("vertices 3\ne 0 1\ne 1 -1\ne 1 2\n", False, ("error", "edge (1,-1) out of range")),
     "huge id": ("vertices 3\ne 0 1\ne 1 99999999999999999999\ne 1 2\n", False,
                 ("error", "edge (1,99999999999999999999) out of range")),
     "loop": ("vertices 3\ne 0 1\ne 2 2\ne 1 2\n", True, ("error", "loop at vertex 2")),
@@ -167,7 +169,7 @@ GRAPH_FILES = {
     "loop before out of range": ("vertices 3\ne 0 1\ne 2 2\ne 1 5\n", True, ("error", "loop at vertex 2")),
     "out of range before loop": ("vertices 3\ne 0 1\ne 1 5\ne 2 2\n", True,
                                  ("error", "edge (1,5) out of range")),
-    "duplicate before loop": ("vertices 3\ne 0 1\ne 2 2\ne 1 0\n", True,
+    "duplicate before loop": ("vertices 3\ne 0 1\ne 2 2\ne 1 0\n", False,
                               ("error", "line 4: duplicate edge (0, 1)")),
     "bad line before duplicate": ("vertices 3\ne 0 1\nedge 1 2\ne 1 0\n", False,
                                   ("error", "line 3: cannot parse 'edge 1 2'")),
@@ -176,21 +178,102 @@ GRAPH_FILES = {
 }
 
 
+def _line_graph(text):
+    return harness_cli._parse_graph(None, text.splitlines)
+
+
+def _line_instance(text):
+    return harness_cli._parse_instance(None, text.splitlines)
+
+
 @pytest.mark.parametrize("name", sorted(GRAPH_FILES))
-def test_bulk_and_line_readers_agree(name, monkeypatch):
+def test_bulk_and_line_readers_agree(name):
     text, bulk, want = GRAPH_FILES[name]
-    lines = text.splitlines()
     assert _outcome(lambda: parse_graph_text(text)) == want
-    try:
-        read = harness_cli._read_graph_bulk(lines)
-    except ValueError as exc:  # the bulk reader names a repeated edge
-        read = str(exc)
+    read = harness_cli._read_graph_bytes(text.encode())
     assert (read is not None) == bulk
-    if isinstance(read, tuple):
-        n, edges = harness_cli._read_graph_lines(lines)
+    if read is not None:
+        n, edges = harness_cli._read_graph_lines(enumerate(text.splitlines(), 1))
         assert read[0] == n and read[1].tolist() == [list(e) for e in edges]
-    monkeypatch.setattr(harness_cli, "_read_graph_bulk", lambda lines: None)
-    assert _outcome(lambda: parse_graph_text(text)) == want
+    assert _outcome(lambda: _line_graph(text)) == want
+
+
+# each edit of a file's lines, given a drawn index into its tagged lines;
+# none is a layout the bulk reader takes
+def _tab(line):
+    return line.replace(" ", "\t", 1)
+
+
+EDITS = {
+    "tab": lambda lines, at: lines.__setitem__(at, _tab(lines[at])),
+    "trailing space": lambda lines, at: lines.__setitem__(at, lines[at] + " "),
+    "double space": lambda lines, at: lines.__setitem__(at, lines[at].replace(" ", "  ", 1)),
+    "crlf": lambda lines, at: lines.__setitem__(at, lines[at] + "\r"),
+    "comment": lambda lines, at: lines.__setitem__(at, lines[at] + " # a note"),
+    "non-ascii comment": lambda lines, at: lines.insert(at, "# d\u00e9j\u00e0 vu"),
+    "19 digits": lambda lines, at: lines.__setitem__(at, lines[at].rsplit(" ", 1)[0] + " " + str(10**18)),
+    "leading zeros": lambda lines, at: lines.__setitem__(at, lines[at].replace(" ", " 00", 1)),
+    "fraction": lambda lines, at: lines.__setitem__(at, lines[at] + "/3"),
+    "missing token": lambda lines, at: lines.__setitem__(at, lines[at].rsplit(" ", 1)[0]),
+    "extra token": lambda lines, at: lines.__setitem__(at, lines[at] + " 0"),
+    "repeat": lambda lines, at: lines.insert(at, lines[at]),
+    "reversed repeat": lambda lines, at: lines.insert(
+        at, " ".join([lines[at].split()[0], *lines[at].split()[2:0:-1], *lines[at].split()[3:]])),
+    "d lines last": lambda lines, at: lines.extend(
+        lines.pop(i) for i in [i for i, x in enumerate(lines) if x.startswith("d ")][::-1]),
+}
+
+
+@st.composite
+def _tagged_files(draw):
+    """(text, whether the bulk reader must take it): a small graph or
+    instance file, in the layout the writers use or with a few edits."""
+    w, h = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        text = write_graph_text(generate("grid", [w, h]))
+    else:
+        text = write_instance_text(coarsened_grid(w, h))
+    lines = text.splitlines()
+    edits = draw(st.lists(st.sampled_from(sorted(EDITS)), max_size=3))
+    for name in edits:
+        tagged = [i for i, x in enumerate(lines) if x[:2] in ("e ", "d ", "m ")]
+        if tagged:
+            EDITS[name](lines, draw(st.sampled_from(tagged)))
+    return "\n".join(lines) + "\n", not edits
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tagged_files())
+def test_bulk_and_line_readers_agree_on_drawn_files(drawn):
+    text, canonical = drawn
+    graph = text.startswith("vertices")
+    buf = harness_cli._plain_bytes(text)
+    if graph:
+        read = buf and harness_cli._read_graph_bytes(buf)
+        lines = harness_cli._read_graph_lines(enumerate(text.splitlines(), 1)) if read else None
+        if read:
+            assert read[0] == lines[0] and read[1].tolist() == [list(e) for e in lines[1]]
+    else:
+        read = buf and harness_cli._read_instance_bytes(buf)
+        if read:
+            lines = harness_cli._read_instance_lines(enumerate(text.splitlines(), 1))
+            assert read[:4] == lines[:4]
+            for got, want in zip(read[4:], lines[4:]):
+                assert got.shape == want.shape and np.array_equal(got, want)
+    assert bool(read) or not canonical
+    parse, line_parse = (parse_graph_text, _line_graph) if graph else (parse_instance_text, _line_instance)
+    assert _describe(lambda: parse(text)) == _describe(lambda: line_parse(text))
+
+
+def _describe(build):
+    """The arrays of what a parse builds, or the message it raises."""
+    try:
+        got = build()
+    except (ValueError, BudgetExceeded) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(got, MedianGraph):
+        return got.n, got.edges
+    return got.n, got.d, got.den, got.nums.tolist(), got.mu.tolist()
 
 
 def test_graph_from_list_and_array_agree():
@@ -348,15 +431,36 @@ def test_write_tagged_matches_f_strings(rows):
     assert harness_cli._write_tagged("x", np.array(rows, dtype=np.int64).reshape(-1, width)) == want
 
 
-def test_instance_writer_memory_stays_bounded():
+@pytest.fixture(scope="module")
+def c77():
+    """coarse-grid 7 7 (113 points, 1.44M "m" lines) and its text."""
     inst = coarsened_grid(7, 7)
+    return inst, write_instance_text(inst)
+
+
+def _traced_peak(call):
+    """(result, peak traced bytes) of one call."""
     tracemalloc.start()
     try:
-        write_instance_text(inst)
-        _, peak = tracemalloc.get_traced_memory()
+        got = call()
+        return got, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_instance_writer_memory_stays_bounded(c77):
+    text, peak = _traced_peak(lambda: write_instance_text(c77[0]))
+    assert text == c77[1]
     assert peak < 80 * 2**20
+
+
+def test_instance_reader_memory_stays_bounded(c77):
+    # the reader of a list of str lines through numpy.loadtxt peaked at
+    # 182 MiB here; the bytes reader at 65 MiB
+    inst, text = c77
+    back, peak = _traced_peak(lambda: parse_instance_text(text))
+    assert np.array_equal(back.mu, inst.mu) and np.array_equal(back.nums, inst.nums)
+    assert peak < 120 * 2**20
 
 
 # sha256 of every file the benchmark's set-up writes at full scale, as
@@ -484,6 +588,23 @@ def test_cli_rank_zero_on_one_point(tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"] is True and payload["rank_bound"] == 0
+
+
+def test_instance_pair_listed_twice_is_refused(tmp_path):
+    # read as the last value listed, the pair would move H0 from 0/1 to 1/1
+    lines = _instance_lines()
+    at = _first(lines, "d 0 1 ")
+    lines.insert(at + 1, "d 1 0 3")
+    text = "\n".join(lines) + "\n"
+    message = f"line {at + 2}: pair (0,1) listed twice"
+    for parse in (parse_instance_text, _line_instance):
+        with pytest.raises(ValueError) as err:
+            parse(text)
+        assert str(err.value) == message
+    path = tmp_path / "twice.inst"
+    path.write_text(text)
+    assert run_cli(["coarse-check", "--input", str(path)]) == (
+        1, json.dumps({"error": "invalid-input", "message": message}) + "\n")
 
 
 def test_instance_bad_m_line_is_named():
