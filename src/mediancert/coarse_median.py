@@ -21,7 +21,9 @@ that makes a ``Fraction`` only of its result, and a threshold q is
 compared as nums <= floor(q * den), exact for integer nums.  H0 and
 gamma are exhaustive on integral metrics up to 40 points and sampled
 otherwise: exact constants would change what reports on rational
-metrics print.
+metrics print.  A sampled sweep keeps a running maximum over blocks of
+draws from its one seeded Generator, and lam one over blocks of
+triples: their arrays grow neither with the budget nor with n^3.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ INSTANCE_LIMIT = 160
 K_GRID = [Fraction(4 + i, 4) for i in range(29)]  # 1, 1.25, ..., 8
 EXHAUSTIVE_POINTS = 40
 CLOSURE_CAP = 512
+# draws per block of the sampled sweeps, and entries per block of lam
+_DRAWS = 1 << 14
 
 
 def _refuse_above_limit(n: int) -> None:
@@ -261,19 +265,32 @@ def _h0_exhaustive(inst: CoarseMedianInstance, k: Fraction,
     return _defect_exhaustive(inst, k)
 
 
+def _draw_blocks(rng: np.random.Generator, n: int, budget: int, width: int):
+    """``budget`` draws of ``width`` points in 0..n-1 as (width, k)
+    arrays, k <= _DRAWS: the rows of one (budget, width) draw."""
+    for lo in range(0, budget, _DRAWS):
+        yield np.ascontiguousarray(rng.integers(0, n, size=(min(_DRAWS, budget - lo), width)).T)
+
+
 def _sextuple_sample(inst: CoarseMedianInstance, budget: int, seed: int):
-    """Displacement numerators (args, mu) for a seeded sextuple sample.
-    Each draw reads the tables through one flat index per lookup."""
-    rng = np.random.default_rng(seed)
+    """Displacement numerators (args, mu) of a seeded sextuple sample,
+    a block of draws at a time.  Each draw reads the tables through one
+    flat index per lookup."""
     n = inst.n
-    x = np.ascontiguousarray(rng.integers(0, n, size=(budget, 6)).T)
     mu = inst.mu.ravel()
     d = _wide(inst.nums).ravel()
-    left = mu[(x[0] * n + x[1]) * n + x[2]].astype(np.intp)
-    right = mu[(x[3] * n + x[4]) * n + x[5]]
-    lhs = d[left * n + right]
-    rhs = d[x[0] * n + x[3]] + d[x[1] * n + x[4]] + d[x[2] * n + x[5]]
-    return lhs, rhs
+    for x in _draw_blocks(np.random.default_rng(seed), n, budget, 6):
+        left = mu[(x[0] * n + x[1]) * n + x[2]].astype(np.intp)
+        right = mu[(x[3] * n + x[4]) * n + x[5]]
+        rhs = d[x[0] * n + x[3]] + d[x[1] * n + x[4]] + d[x[2] * n + x[5]]
+        yield d[left * n + right], rhs
+
+
+def _h0_sampled(inst: CoarseMedianInstance, k: Fraction, budget: int, seed: int) -> Fraction:
+    """max displacement(mu) - k * displacement(args) over the sample."""
+    gap = max(int((k.denominator * lhs - k.numerator * rhs).max())
+              for lhs, rhs in _sextuple_sample(inst, budget, seed))
+    return Fraction(gap, k.denominator * inst.den)
 
 
 def _gamma_exhaustive(inst: CoarseMedianInstance) -> Fraction:
@@ -301,14 +318,15 @@ def _gamma_exhaustive(inst: CoarseMedianInstance) -> Fraction:
 
 
 def _gamma_sampled(inst: CoarseMedianInstance, budget: int, seed: int) -> Fraction:
-    rng = np.random.default_rng(seed ^ 0x5EED)
     n = inst.n
-    x, y, z, v, w = np.ascontiguousarray(rng.integers(0, n, size=(budget, 5)).T)
     mu = inst.mu.ravel()
-    xy = (x * n + y) * n  # mu(x, y, c) = mu[xy + c]
-    lhs = mu[xy + mu[(z * n + v) * n + w]]
-    rhs = mu[(mu[xy + z].astype(np.intp) * n + mu[xy + v]) * n + w]
-    return inst._worst(lhs, rhs)
+    worst = Fraction(0)
+    for x, y, z, v, w in _draw_blocks(np.random.default_rng(seed ^ 0x5EED), n, budget, 5):
+        xy = (x * n + y) * n  # mu(x, y, c) = mu[xy + c]
+        lhs = mu[xy + mu[(z * n + v) * n + w]]
+        rhs = mu[(mu[xy + z].astype(np.intp) * n + mu[xy + v]) * n + w]
+        worst = max(worst, inst._worst(lhs, rhs))
+    return worst
 
 
 def estimate_params(inst: CoarseMedianInstance, budget: int = 200_000,
@@ -325,14 +343,9 @@ def estimate_params(inst: CoarseMedianInstance, budget: int = 200_000,
         env = _slot_envelope(inst)
     else:
         gamma = _gamma_sampled(inst, budget, seed)
-        lhs, rhs = _sextuple_sample(inst, budget, seed)
     fit = None
-    for k in K_GRID:
-        if exhaustive:
-            h0 = _h0_exhaustive(inst, k, env)
-        else:
-            gap = k.denominator * lhs - k.numerator * rhs
-            h0 = Fraction(int(gap.max()), k.denominator * inst.den)
+    for k in K_GRID:  # a sampled H0 draws its sample again for each k
+        h0 = _h0_exhaustive(inst, k, env) if exhaustive else _h0_sampled(inst, k, budget, seed)
         h0 = max(h0, Fraction(0))
         if h0_cap is None or h0 <= Fraction(h0_cap):
             fit = (k, h0)
@@ -343,9 +356,12 @@ def estimate_params(inst: CoarseMedianInstance, budget: int = 200_000,
             cap=str(h0_cap),
         )
     n = inst.n
-    mu = inst.mu.ravel()
-    xy = np.arange(n * n)[:, None] * n  # mu(x, y, c) = mu[xy + c]
-    lam = inst._worst(mu[xy + mu.reshape(n * n, n)].ravel(), mu)
+    mu, by_pair = inst.mu.ravel(), inst.mu.reshape(n * n, n)
+    lam = Fraction(0)
+    step = max(1, _DRAWS // n)  # pairs (x, y) per block
+    for lo in range(0, n * n, step):
+        xy = np.arange(lo, min(n * n, lo + step))[:, None] * n  # mu(x, y, c) = mu[xy + c]
+        lam = max(lam, inst._worst(mu[xy + by_pair[lo:lo + step]], by_pair[lo:lo + step]))
     params = CoarseParams(K=fit[0], H0=fit[1], gamma=gamma, lam=lam)
     inst.params = params
     return params

@@ -8,12 +8,13 @@ then a "metric explicit" section with N*(N-1)/2 lines "d i j value"
 Sections left out of an instance file are filled from a graph when one
 is supplied alongside.
 
-Files are read as bytes.  A file in the layout the writers use takes
-the bulk path: it is ASCII with "\n" as its only line break, and each
-"e", "d" and "m" line is the tag and then exactly 2, 3 or 4 tokens of
-at most 18 digits, each after one space.  Those lines are parsed by
-array operations, and the few others one by one.  Every other file is
-read line by line, with the same results and the same messages.
+Files are read as bytes, in blocks of whole lines.  A file in the
+layout the writers use takes the bulk path: it is ASCII with "\n" as
+its only line break, and each "e", "d" and "m" line is the tag and then
+exactly 2, 3 or 4 tokens of at most 18 digits, each after one space.
+Those lines are parsed by array operations, the "m" lines straight into
+the operation table, and the few others one by one.  Every other file
+is read line by line, with the same results and the same messages.
 
 Exit status is 0 only when every requested check passed; failures,
 argument errors included, print one JSON object naming the violated
@@ -26,6 +27,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import os
 import random
@@ -263,18 +265,39 @@ def write_instance_text(inst: CoarseMedianInstance) -> str:
 
 
 # Reading.  A plain file (ASCII, and no line break but "\n", so that its
-# lines are exactly the str.splitlines() lines) is read as bytes: its
-# tagged lines in bulk, its few other lines one by one through the line
-# reader.  The bulk path refuses nothing: on any line it does not take,
-# the whole file goes to the line reader, the one place that names a bad
-# line, so every message and line number is the line reader's.
+# lines are exactly the str.splitlines() lines) is read as bytes, in
+# blocks of whole lines: its tagged lines in bulk, its few other lines
+# one by one through the line reader, and an instance's "m" lines
+# straight into its operation table.  The bulk path refuses nothing: on
+# any line it does not take, or any block that is not plain, the whole
+# file goes to the line reader, the one place that names a bad line, so
+# every message and line number is the line reader's.
 
-# bytes per block of _split_tagged, rounded down to whole lines
+# bytes per read of a file, or per slice of a text; _line_blocks rounds
+# them to whole lines
 _READ_BYTES = 1 << 20
 
 
 def _plain(buf: bytes) -> bool:
     return buf.isascii() and not any(c in buf for c in b"\r\v\f\x1c\x1d\x1e")
+
+
+def _line_blocks(chunks):
+    """Byte chunks regrouped into blocks of whole lines, each ending in a
+    newline; one is added after a last line without."""
+    rest = b""
+    for chunk in chunks:
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield rest + memoryview(chunk)[:cut]
+        rest = chunk[cut:] if cut else rest + chunk
+    if rest:
+        yield rest + b"\n"
+
+
+def _text_blocks(text: str):
+    """The lines of ``text`` as _line_blocks gives those of a file."""
+    return _line_blocks(text[lo:lo + _READ_BYTES].encode() for lo in range(0, len(text), _READ_BYTES))
 
 
 def _read_tagged(b: np.ndarray, lines: int, width: int) -> np.ndarray | None:
@@ -311,50 +334,43 @@ def _read_tagged(b: np.ndarray, lines: int, width: int) -> np.ndarray | None:
     return rows
 
 
-def _split_tagged(buf: bytes, widths: dict[bytes, int]):
-    """A plain file as its other lines, a list of (line number, text),
-    and {tag: (k, width) int rows} of its lines "tag v1 ... v_width"
-    in file order; None when a line that starts with a tag and a space
-    is not taken by _read_tagged.  Blocks of whole lines keep every
-    per-byte array to about _READ_BYTES."""
-    if not buf.endswith(b"\n"):
-        buf += b"\n"
-    arr = np.frombuffer(buf, dtype=np.uint8)
-    others: list[tuple[int, str]] = []
-    rows: dict[bytes, list[np.ndarray]] = {tag: [] for tag in widths}
-    pos = no = 0
-    while pos < len(buf):
-        hi = buf.rfind(b"\n", pos, pos + _READ_BYTES) + 1 or buf.index(b"\n", pos) + 1
-        b = arr[pos:hi]
+def _split_tagged(blocks, widths: dict[bytes, int]):
+    """Per block of whole lines (_line_blocks): its other lines, a list
+    of (line number, text), and {tag: (k, width) int rows} of its lines
+    "tag v1 ... v_width" in file order, for each tag it holds.  None,
+    and then nothing, at a block that is not plain or holds a line that
+    starts with a tag and a space and is not taken by _read_tagged."""
+    no = 0
+    for block in blocks:
+        if not _plain(block):
+            yield None
+            return
+        b = np.frombuffer(block, dtype=np.uint8)
         nl = np.flatnonzero(b == 10)
         starts = np.concatenate(([0], nl[:-1] + 1))
         first, second = b[starts], b[np.minimum(starts + 1, len(b) - 1)]
         other = np.ones(len(nl), dtype=bool)
+        rows = {}
         for tag, width in widths.items():
             mine = (first == tag[0]) & (second == 32)
             if not mine.any():
                 continue
             other &= ~mine
-            part = b if mine.all() else b[np.repeat(mine, np.diff(nl, prepend=-1))]
-            got = _read_tagged(part, int(np.count_nonzero(mine)), width)
-            if got is None:
-                return None
-            rows[tag].append(got)
-        for i in np.flatnonzero(other).tolist():
-            others.append((no + i + 1, buf[pos + int(starts[i]):pos + int(nl[i])].decode()))
+            part = b if mine.all() else b[np.repeat(mine, nl - starts + 1)]
+            rows[tag] = _read_tagged(part, int(np.count_nonzero(mine)), width)
+            if rows[tag] is None:
+                yield None
+                return
+        yield [(no + i + 1, block[starts[i]:nl[i]].decode()) for i in np.flatnonzero(other).tolist()], rows
         no += len(nl)
-        pos = hi
-    return others, {
-        tag: np.concatenate(rows[tag]) if rows[tag] else np.empty((0, width), dtype=np.int32)
-        for tag, width in widths.items()
-    }
 
 
 def _repeats(pairs: np.ndarray) -> bool:
     """Whether two rows of a (k, 2) int array hold one unordered pair."""
     lo, hi = pairs.min(axis=1), pairs.max(axis=1)
     order = np.lexsort((hi, lo))
-    return bool(((np.diff(lo[order]) == 0) & (np.diff(hi[order]) == 0)).any())
+    lo, hi = lo[order], hi[order]
+    return bool(((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])).any())
 
 
 def _read_graph_lines(numbered) -> tuple[int | None, list[tuple[int, int]]]:
@@ -383,51 +399,49 @@ def _read_graph_lines(numbered) -> tuple[int | None, list[tuple[int, int]]]:
     return n, edges
 
 
-def _read_graph_bytes(buf: bytes) -> tuple[int | None, np.ndarray] | None:
-    """What _read_graph_lines reads from a plain file, with the "e" lines
-    in bulk; None, leaving the file to _read_graph_lines, unless the
-    bulk reader takes every "e" line, the line reader takes every other
-    line without an edge, and no edge repeats."""
-    split = _split_tagged(buf, {b"e": 2})
-    if split is None:
-        return None
-    others, rows = split
+def _read_graph_bytes(blocks) -> tuple[int | None, np.ndarray] | None:
+    """What _read_graph_lines reads from the blocks of a plain file, with
+    the "e" lines in bulk; None, leaving the file to _read_graph_lines,
+    unless the bulk reader takes every block and every "e" line, the
+    line reader takes every other line without an edge, and no edge
+    repeats."""
+    others, edges = [], [np.empty((0, 2), dtype=np.int32)]
+    for split in _split_tagged(blocks, {b"e": 2}):
+        if split is None:
+            return None
+        others += split[0]
+        edges += split[1].values()
     try:
-        n, edges = _read_graph_lines(others)
+        n, listed = _read_graph_lines(others)
     except ValueError:
         return None
-    if edges or _repeats(rows[b"e"]):
+    edges = np.concatenate(edges)
+    if listed or _repeats(edges):
         return None
-    return n, rows[b"e"]
+    return n, edges
 
 
-def _parse_graph(buf: bytes | None, lines) -> MedianGraph:
-    """The graph of a file: ``buf`` is its bytes when plain, else None,
-    and ``lines()`` gives its lines."""
-    read = _read_graph_bytes(buf) if buf is not None else None
+def _parse_graph(blocks, lines) -> MedianGraph:
+    """The graph of a file: ``blocks`` are its bytes in blocks of whole
+    lines, or None to read it by lines alone, and ``lines()`` gives its
+    lines."""
+    read = _read_graph_bytes(blocks) if blocks is not None else None
     n, edges = read or _read_graph_lines(enumerate(lines(), 1))
     if n is None:
         raise ValueError("missing 'vertices N' header")
     return MedianGraph(n, edges)
 
 
-def _plain_bytes(text: str) -> bytes | None:
-    """The bytes of ``text`` when they are plain, else None."""
-    if not text.isascii():
-        return None
-    buf = text.encode()
-    return buf if _plain(buf) else None
-
-
 def parse_graph_text(text: str) -> MedianGraph:
-    return _parse_graph(_plain_bytes(text), text.splitlines)
+    return _parse_graph(_text_blocks(text), text.splitlines)
 
 
 class _InstanceText(NamedTuple):
     """What an instance file lists: ``pairs`` (k, 2) and ``vals`` (k,)
     from its "d" lines, ``rows`` (k, 4) from its "m" lines, each in file
     order.  Each is an int array, or an object array of Python ints
-    when an entry is past int64; ``vals`` also when one is a Fraction."""
+    when an entry is past int64; ``vals`` also when one is a Fraction.
+    The bulk reader gives the checked operation ``table`` instead."""
 
     n: int | None
     d: int | None
@@ -436,6 +450,7 @@ class _InstanceText(NamedTuple):
     pairs: np.ndarray
     vals: np.ndarray
     rows: np.ndarray
+    table: np.ndarray | None = None
 
 
 def _read_instance_lines(numbered) -> _InstanceText:
@@ -495,24 +510,49 @@ def _int_rows(rows: list, width: int) -> np.ndarray:
         return np.array(rows, dtype=object).reshape(-1, width)
 
 
-def _read_instance_bytes(buf: bytes) -> _InstanceText | None:
-    """What _read_instance_lines reads from a plain file, with the "d"
-    and "m" lines in bulk; None, leaving the file to
-    _read_instance_lines, unless the bulk reader takes every "d" and
-    "m" line, the line reader takes every other line without a "d" or
-    "m" line among them, and no pair repeats."""
-    split = _split_tagged(buf, {b"d": 3, b"m": 4})
-    if split is None:
-        return None
-    others, rows = split
+def _read_instance_bytes(blocks) -> _InstanceText | None:
+    """What _read_instance_lines reads from the blocks of a plain file,
+    with the "d" lines in bulk and the "m" lines put straight into an n^3
+    table, n from the lines before them (dropped unless n is in
+    1..INSTANCE_LIMIT); None, leaving the file to _read_instance_lines
+    and _check_mu_rows, unless the bulk reader takes every block and
+    tagged line, the line reader every other line, no pair repeats, and
+    a mu section has, for a final n in that range, n^3 rows that write
+    every entry of its table: each triple once."""
+    limit = coarse_median.INSTANCE_LIMIT
+    others, metric = [], [np.empty((0, 3), dtype=np.int32)]
+    table = built = None
+    listed = 0
+    for split in _split_tagged(blocks, {b"d": 3, b"m": 4}):
+        if split is None:
+            return None
+        others += split[0]
+        metric.append(split[1].get(b"d", metric[0]))
+        rows = split[1].get(b"m")
+        if rows is not None and built is None:
+            try:
+                built = _read_instance_lines(others).n
+            except ValueError:
+                return None
+            table = np.full(built ** 3, -1, dtype=np.int32) if 0 < (built or 0) <= limit else None
+        if rows is None or table is None:
+            continue
+        if rows.max() >= built:
+            return None
+        table[(rows[:, 0].astype(np.intp) * built + rows[:, 1]) * built + rows[:, 2]] = rows[:, 3]
+        listed += len(rows)
     try:
         head = _read_instance_lines(others)
     except ValueError:
         return None
-    metric = rows[b"d"]
+    metric, n = np.concatenate(metric), head.n
     if len(head.pairs) or len(head.rows) or _repeats(metric[:, :2]):
         return None
-    return head._replace(pairs=metric[:, :2], vals=metric[:, 2].astype(np.int64), rows=rows[b"m"])
+    if not (head.have_mu and 0 < (n or 0) <= limit):
+        table = None
+    elif not (built == n and listed == n ** 3 and table.min() >= 0):
+        return None
+    return head._replace(pairs=metric[:, :2], vals=metric[:, 2].astype(np.int64), table=table)
 
 
 def _metric_table(pairs: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
@@ -552,12 +592,12 @@ def _check_mu_rows(rows: np.ndarray, n: int) -> np.ndarray:
     return mu.reshape(n, n, n)
 
 
-def _parse_instance(buf: bytes | None, lines,
+def _parse_instance(blocks, lines,
                     graph: MedianGraph | None = None) -> CoarseMedianInstance:
     """The instance of a file, as _parse_graph reads a graph; sections
     it leaves out come from ``graph``."""
-    read = _read_instance_bytes(buf) if buf is not None else None
-    n, d, have_metric, have_mu, pairs, vals, rows = \
+    read = _read_instance_bytes(blocks) if blocks is not None else None
+    n, d, have_metric, have_mu, pairs, vals, rows, table = \
         read or _read_instance_lines(enumerate(lines(), 1))
     if n is None:
         raise ValueError("missing 'points N' header")
@@ -576,7 +616,7 @@ def _parse_instance(buf: bytes | None, lines,
     else:
         raise ValueError("no metric section and no graph to derive one from")
     if have_mu:
-        mu = _check_mu_rows(rows, n)
+        mu = table.reshape(n, n, n) if read else _check_mu_rows(rows, n)
     elif graph is not None:
         mu = graph.median_table()
     else:
@@ -587,7 +627,7 @@ def _parse_instance(buf: bytes | None, lines,
 
 
 def parse_instance_text(text: str, graph: MedianGraph | None = None) -> CoarseMedianInstance:
-    return _parse_instance(_plain_bytes(text), text.splitlines, graph)
+    return _parse_instance(_text_blocks(text), text.splitlines, graph)
 
 
 def _read_text(path: str) -> str:
@@ -610,17 +650,25 @@ def _header(lines) -> str:
 
 
 def load_input(path: str):
-    """Graph or instance, keyed off the header word.  The file is read
-    as bytes, and as text only when it is not plain."""
+    """Graph or instance, keyed off the header word.  A file whose first
+    block of lines is plain and holds the header is read in blocks
+    (_line_blocks); any other file, and one the bulk path leaves to the
+    line reader, is read as text."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if _plain(buf):
-        first, lines = (raw.decode() for raw in io.BytesIO(buf)), lambda: buf.decode().splitlines()
-    else:
-        text = _read_text(path).splitlines()
-        buf, first, lines = None, text, lambda: text
-    parse = _parse_graph if _header(first) == "vertices" else _parse_instance
-    return parse(buf, lines)
+        # a small file in one small read: a 1 MiB read costs 20 us more
+        size = min(_READ_BYTES, max(1 << 16, os.fstat(fh.fileno()).st_size))
+        blocks = _line_blocks(iter(functools.partial(fh.read, size), b""))
+        first = next(blocks, b"")
+        try:
+            head = _plain(first) and _header(raw.decode() for raw in io.BytesIO(first))
+        except ValueError:  # the text path raises it, or what reading the text raises
+            head = None
+        if head:
+            parse = _parse_graph if head == "vertices" else _parse_instance
+            return parse(itertools.chain([first], blocks), lambda: _read_text(path).splitlines())
+    text = _read_text(path).splitlines()
+    parse = _parse_graph if _header(text) == "vertices" else _parse_instance
+    return parse(None, lambda: text)
 
 
 # -- plumbing ----------------------------------------------------------

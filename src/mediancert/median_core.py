@@ -264,10 +264,11 @@ def _wall_codes(dist: np.ndarray, ends: np.ndarray) -> WallCodes | None:
 
 
 def _single_search_codes(ends: np.ndarray, indptr: np.ndarray, nbr: np.ndarray,
-                         slot_edge: np.ndarray) -> WallCodes | None:
+                         slot_edge: np.ndarray) -> WallCodes | bool | None:
     """Wall codes from the breadth-first level of each vertex seen from
     0, by the parent rule of the module docstring, at any number of
-    walls; None when a check fails.  The Hamming distance of the codes
+    walls; False when the graph is shown to be no partial cube, None
+    when another check fails.  The Hamming distance of the codes
     is the graph distance exactly when every edge flips one bit and
     every vertex v has, for each u != v, an edge at v flipping a bit in
     which the codes of u and v differ: the first makes the code distance
@@ -285,7 +286,7 @@ def _single_search_codes(ends: np.ndarray, indptr: np.ndarray, nbr: np.ndarray,
     # an edge within a level closes an odd cycle, and an n-vertex
     # subgraph of a hypercube has at most (n/2) log2 n edges
     if (level[ea] == level[eb]).any() or 2 * len(ends) > n * math.log2(n):
-        return None
+        return False
     down = level[ea] < level[eb]
     parent, child = np.where(down, ea, eb), np.where(down, eb, ea)
     opens = np.flatnonzero(np.bincount(child, minlength=n) == 1)
@@ -473,7 +474,7 @@ class MedianGraph:
             raise ValueError("graph is not connected")
         self.edge_array = np.stack(np.divmod(key, self.n), axis=1)
         self.edges: list[tuple[int, int]] = list(zip(*self.edge_array.T.tolist()))
-        # None: the search refused the graph; False: not a partial cube
+        # False: not a partial cube; None: the search's checks left it to _wall_codes
         self._codes: WallCodes | bool | None = _single_search_codes(self.edge_array, *self._neighbours)
         self._interval_cache: dict[tuple[int, int], int] = {}
         self._median_table: np.ndarray | None = None
@@ -509,13 +510,13 @@ class MedianGraph:
         one word give it as their Hamming distances.  Wider codes fill it
         row by row in search order, without a words factor: a child c of
         p across wall i has d(c, u) = d(p, u) + 1 - 2 [u on c's side of
-        i].  A graph the single search refuses gets scipy's search from
+        i].  A graph without codes gets scipy's search from
         every vertex (scipy is imported here only, off the median-graph
         path), in row blocks: its float64 rows are never all held."""
         n, codes = self.n, self._codes
         dist = np.empty((n, n), dtype=np.int32)
         step = max(1, _BLOCK_WORDS // n)
-        if codes is None:
+        if not codes:
             from scipy.sparse import csr_array
             from scipy.sparse.csgraph import dijkstra
 

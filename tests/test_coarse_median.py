@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -200,24 +201,88 @@ def test_coarsened_grid_fit(cg33):
     assert cg33.m1_defect == 0 and cg33.m2_defect == 0
 
 
-def _sampled_three_axis(inst, budget, seed):
-    """The sampled sweeps as three-axis gathers: (lhs, rhs, gamma)."""
+def _sampled_three_axis(inst, budget, seed, dtype=object):
+    """The sampled sweeps as three-axis gathers on one draw each:
+    (lhs, rhs, gamma)."""
     idx = np.random.default_rng(seed).integers(0, inst.n, size=(budget, 6))
-    mu, d = inst.mu, inst.nums.astype(object)
+    mu, d = inst.mu, inst.nums.astype(dtype)
     lhs = d[mu[idx[:, 0], idx[:, 1], idx[:, 2]], mu[idx[:, 3], idx[:, 4], idx[:, 5]]]
     rhs = d[idx[:, 0], idx[:, 3]] + d[idx[:, 1], idx[:, 4]] + d[idx[:, 2], idx[:, 5]]
+    del idx
     x, y, z, v, w = np.random.default_rng(seed ^ 0x5EED).integers(0, inst.n, size=(budget, 5)).T
     far = d[mu[x, y, mu[z, v, w]], mu[mu[x, y, z], mu[x, y, v], w]]
     return lhs, rhs, Fraction(int(far.max()), inst.den)
 
 
+def _h0_at(inst, lhs, rhs, k):
+    """The sampled H0 at multiplier k of one-shot sample arrays."""
+    return Fraction(int((k.denominator * lhs - k.numerator * rhs).max()), k.denominator * inst.den)
+
+
+def _lam_three_axis(inst):
+    n = inst.n
+    mu = inst.mu.astype(np.intp)
+    x, y, z = np.indices((n, n, n))
+    m = mu[x, y, z]
+    return Fraction(int(inst.nums[mu[x, y, m], m].max()), inst.den)
+
+
 @pytest.mark.parametrize("scale", [1, Fraction(7, 3), Fraction(2**40 + 1, 3)])
-def test_sampled_sweeps_match_three_axis_gathers(cg22, scale):
-    inst = CoarseMedianInstance(cg22.dist_int * Fraction(scale), cg22.mu, d=cg22.d)
-    lhs, rhs, gamma = _sampled_three_axis(inst, 5_000, 3)
-    got_lhs, got_rhs = coarse_median._sextuple_sample(inst, 5_000, 3)
-    assert got_lhs.tolist() == lhs.tolist() and got_rhs.tolist() == rhs.tolist()
-    assert coarse_median._gamma_sampled(inst, 5_000, 3) == gamma
+def test_sampled_sweeps_match_three_axis_gathers(cg22, scale, monkeypatch):
+    # blocks of 64 draws: one partial block, two whole ones, and 78 whole
+    # ones and a remainder of 8; lam in blocks of 4 pairs (x, y), 169 of them
+    monkeypatch.setattr(coarse_median, "_DRAWS", 64)
+    monkeypatch.setattr(coarse_median, "EXHAUSTIVE_POINTS", 0)
+    mu = cg22.mu.copy()
+    mu[0, 0] = 12  # mu(0, 0, .) jumps to the far corner: H0 falls as K grows
+    mu[12, 12] = np.roll(np.arange(13), -1)  # lam only from the last pair (x, y)
+    inst = CoarseMedianInstance(cg22.dist_int * Fraction(scale), mu, d=cg22.d)
+    for budget in (1, 128, 5_000):
+        lhs, rhs, gamma = _sampled_three_axis(inst, budget, 3)
+        blocks = list(coarse_median._sextuple_sample(inst, budget, 3))
+        assert [len(got) for got, _ in blocks] == [min(64, budget - lo) for lo in range(0, budget, 64)]
+        assert np.concatenate([got for got, _ in blocks]).tolist() == lhs.tolist()
+        assert np.concatenate([got for _, got in blocks]).tolist() == rhs.tolist()
+        assert coarse_median._gamma_sampled(inst, budget, 3) == gamma
+    # each K tried draws the sample again and gets the one-shot H0; under
+    # a cap of -1 every K is tried and none fits
+    want = {k: _h0_at(inst, lhs, rhs, k) for k in coarse_median.K_GRID}
+    tried = {}
+    h0_sampled = coarse_median._h0_sampled
+
+    def spy(inst, k, budget, seed):
+        tried[k] = h0_sampled(inst, k, budget, seed)
+        return tried[k]
+
+    monkeypatch.setattr(coarse_median, "_h0_sampled", spy)
+    with pytest.raises(NotCoarseMedian):
+        estimate_params(inst, budget=5_000, seed=3, h0_cap=-1)
+    assert tried == want
+    cap = sorted(set(want.values()))[len(set(want.values())) // 2]
+    tried.clear()
+    p = estimate_params(inst, budget=5_000, seed=3, h0_cap=cap)
+    fit = next(k for k in coarse_median.K_GRID if want[k] <= cap)
+    assert (p.K, p.H0, p.gamma) == (fit, max(want[fit], 0), gamma)
+    assert p.lam == _lam_three_axis(inst)
+    assert tried == {k: want[k] for k in coarse_median.K_GRID[:coarse_median.K_GRID.index(fit) + 1]}
+
+
+def test_large_budget_fits_in_bounded_memory():
+    # at the parent, 2,000,000 draws took a (2M, 6) int64 array and its
+    # copies at once, and 1,000,000,000 ended in numpy's allocation error
+    inst = coarsened_grid(4, 4)
+    lhs, rhs, gamma = _sampled_three_axis(inst, 2_000_000, 0, dtype=np.int64)
+    want = CoarseParams(K=Fraction(1), H0=max(_h0_at(inst, lhs, rhs, Fraction(1)), Fraction(0)),
+                        gamma=gamma, lam=_lam_three_axis(inst))
+    del lhs, rhs
+    tracemalloc.start()
+    try:
+        got = estimate_params(inst, budget=2_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 8 * 2**20
 
 
 def test_unfittable_instance_rejected():

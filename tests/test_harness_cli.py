@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from mediancert import harness_cli
 from mediancert.coarse_median import (
     CoarseMedianInstance,
     coarsened_grid,
+    estimate_params,
     from_median_graph,
     l_constants,
 )
@@ -190,7 +192,7 @@ def _line_instance(text):
 def test_bulk_and_line_readers_agree(name):
     text, bulk, want = GRAPH_FILES[name]
     assert _outcome(lambda: parse_graph_text(text)) == want
-    read = harness_cli._read_graph_bytes(text.encode())
+    read = harness_cli._read_graph_bytes(harness_cli._text_blocks(text))
     assert (read is not None) == bulk
     if read is not None:
         n, edges = harness_cli._read_graph_lines(enumerate(text.splitlines(), 1))
@@ -221,13 +223,15 @@ EDITS = {
         at, " ".join([lines[at].split()[0], *lines[at].split()[2:0:-1], *lines[at].split()[3:]])),
     "d lines last": lambda lines, at: lines.extend(
         lines.pop(i) for i in [i for i, x in enumerate(lines) if x.startswith("d ")][::-1]),
+    "header last": lambda lines, at: lines.append(lines.pop(0)),
 }
 
 
 @st.composite
 def _tagged_files(draw):
     """(text, whether the bulk reader must take it): a small graph or
-    instance file, in the layout the writers use or with a few edits."""
+    instance file, in the layout the writers use or with a few edits,
+    and with or without its final newline."""
     w, h = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     if draw(st.booleans()):
         text = write_graph_text(generate("grid", [w, h]))
@@ -239,30 +243,74 @@ def _tagged_files(draw):
         tagged = [i for i, x in enumerate(lines) if x[:2] in ("e ", "d ", "m ")]
         if tagged:
             EDITS[name](lines, draw(st.sampled_from(tagged)))
-    return "\n".join(lines) + "\n", not edits
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""])), not edits
 
 
+# reads of 1 byte make a block of every line, reads of 64 bytes one of
+# every few, and a header, "mu explicit" or a tagged line straddles reads
 @settings(max_examples=150, deadline=None)
-@given(_tagged_files())
-def test_bulk_and_line_readers_agree_on_drawn_files(drawn):
+@given(_tagged_files(), st.sampled_from([1, 64, 1 << 20]))
+def test_bulk_and_line_readers_agree_on_drawn_files(drawn, read_bytes):
     text, canonical = drawn
     graph = text.startswith("vertices")
-    buf = harness_cli._plain_bytes(text)
-    if graph:
-        read = buf and harness_cli._read_graph_bytes(buf)
-        lines = harness_cli._read_graph_lines(enumerate(text.splitlines(), 1)) if read else None
-        if read:
-            assert read[0] == lines[0] and read[1].tolist() == [list(e) for e in lines[1]]
-    else:
-        read = buf and harness_cli._read_instance_bytes(buf)
-        if read:
-            lines = harness_cli._read_instance_lines(enumerate(text.splitlines(), 1))
-            assert read[:4] == lines[:4]
-            for got, want in zip(read[4:], lines[4:]):
-                assert got.shape == want.shape and np.array_equal(got, want)
-    assert bool(read) or not canonical
-    parse, line_parse = (parse_graph_text, _line_graph) if graph else (parse_instance_text, _line_instance)
-    assert _describe(lambda: parse(text)) == _describe(lambda: line_parse(text))
+    with mock.patch.object(harness_cli, "_READ_BYTES", read_bytes):
+        blocks = harness_cli._text_blocks(text)
+        if graph:
+            read = harness_cli._read_graph_bytes(blocks)
+            lines = harness_cli._read_graph_lines(enumerate(text.splitlines(), 1)) if read else None
+            if read:
+                assert read[0] == lines[0] and read[1].tolist() == [list(e) for e in lines[1]]
+        else:
+            read = harness_cli._read_instance_bytes(blocks)
+            if read:
+                lines = harness_cli._read_instance_lines(enumerate(text.splitlines(), 1))
+                assert read[:4] == lines[:4] and len(read.rows) == 0
+                for got, want in zip(read[4:6], lines[4:6]):
+                    assert got.shape == want.shape and np.array_equal(got, want)
+                if read.table is not None:
+                    want = harness_cli._check_mu_rows(lines.rows, lines.n)
+                    assert np.array_equal(read.table, want.ravel())
+                else:
+                    assert not (lines.have_mu and 1 <= (lines.n or 0) <= 160)
+        assert bool(read) or not canonical
+        parse, line_parse = (parse_graph_text, _line_graph) if graph else (parse_instance_text, _line_instance)
+        assert _describe(lambda: parse(text)) == _describe(lambda: line_parse(text))
+
+
+# the file reader in blocks of 1, 7 and 64 bytes and in one block; each
+# file gives what the line reader gives, or its message.  A points line
+# after the "m" lines (the last one counts) keeps n, or changes it.
+@pytest.mark.parametrize("read_bytes", [1, 7, 64, 1 << 20])
+@pytest.mark.parametrize("edit, refused", [
+    ("none", False), ("no final newline", False), ("points 5 last", False), ("comment", False),
+    ("points 4 last", True), ("bad last line", True), ("m line in place of the next", True),
+    ("lone cr", True), ("m lines of 4 points, then points 5", True),
+])
+def test_load_input_reads_across_block_boundaries(tmp_path, monkeypatch, read_bytes, edit, refused):
+    lines = write_instance_text(coarsened_grid(1, 1)).splitlines()
+    if edit.startswith("points"):
+        lines.append(edit.removesuffix(" last"))
+    elif edit == "comment":
+        lines.insert(40, "# a note")
+    elif edit == "bad last line":
+        lines.append("m 0 0 0 9")
+    elif edit.startswith("m line in"):
+        lines[-1] = lines[-2]  # n^3 lines: one triple twice, one missing
+    elif edit == "lone cr":
+        lines.insert(40, "# a note\rd 0 1 2")  # a second line to str.splitlines()
+    elif edit.startswith("m lines of 4"):
+        # 5^3 lines in range for the first n, 4, that fill its 4^3 triples
+        lines[0] = "points 4"
+        m = lines.index("mu explicit") + 1
+        lines[m:] = [f"m {i} {j} {k} 0" for i, j, k in itertools.product(range(4), repeat=3)] * 2
+        lines[m + 125:] = ["points 5"]
+    text = "\n".join(lines) + ("" if edit == "no final newline" else "\n")
+    path = tmp_path / "c11.inst"
+    path.write_text(text)
+    monkeypatch.setattr(harness_cli, "_READ_BYTES", read_bytes)
+    got = _describe(lambda: load_input(str(path)))
+    assert got == _describe(lambda: _line_instance(text))
+    assert (got[0] == "ValueError") == refused
 
 
 def _describe(build):
@@ -456,11 +504,26 @@ def test_instance_writer_memory_stays_bounded(c77):
 
 def test_instance_reader_memory_stays_bounded(c77):
     # the reader of a list of str lines through numpy.loadtxt peaked at
-    # 182 MiB here; the bytes reader at 65 MiB
+    # 182 MiB here; the bytes reader at 65 MiB, and 24 MiB with its "m"
+    # lines put straight into the table
     inst, text = c77
     back, peak = _traced_peak(lambda: parse_instance_text(text))
     assert np.array_equal(back.mu, inst.mu) and np.array_equal(back.nums, inst.nums)
-    assert peak < 120 * 2**20
+    assert peak < 32 * 2**20
+
+
+def test_instance_file_load_and_fit_memory_stay_bounded(c77, tmp_path):
+    # 65.1 MiB and 27.4 MiB when the whole file and then the whole
+    # sample were held at once; 25 MiB and 3.5 MiB in blocks
+    inst, text = c77
+    path = tmp_path / "c77.inst"
+    path.write_text(text)
+    back, peak = _traced_peak(lambda: load_input(str(path)))
+    assert np.array_equal(back.mu, inst.mu) and np.array_equal(back.nums, inst.nums)
+    assert peak < 32 * 2**20
+    params, peak = _traced_peak(lambda: estimate_params(back))
+    assert params == estimate_params(inst)
+    assert peak < 12 * 2**20
 
 
 # sha256 of every file the benchmark's set-up writes at full scale, as

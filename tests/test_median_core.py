@@ -12,6 +12,7 @@ from mediancert.errors import (
     BudgetExceeded,
     MedianViolation,
     NotFound,
+    NotMedian,
     ReductionFailure,
 )
 from mediancert.median_core import (
@@ -571,8 +572,8 @@ def test_one_word_codes_match_breadth_first_search(label, n, edges, single):
     dist, codes = breadth_first_reference(g)
     assert np.array_equal(g.dist, dist)
     # the single search gives the codes on the median graphs, at any
-    # number of walls; every other graph here falls back
-    assert (g._codes is not None) == single
+    # number of walls; it refuses every other graph here
+    assert bool(g._codes) == single
     got = g.wall_codes()
     assert (got is None) == (codes is None)
     if codes is not None:
@@ -594,10 +595,27 @@ def test_cover_check_in_vertex_blocks(label, n, edges, single, monkeypatch):
     for budget in (1, 7, 64):
         monkeypatch.setattr(median_core, "_BLOCK_WORDS", budget)
         g = MedianGraph(n, edges)
-        assert (g._codes is not None) == single, budget
+        assert bool(g._codes) == single, budget
         if single:
             assert_codes_equal(g._codes, want._codes)
         assert np.array_equal(g.dist, want.dist)
+
+
+@pytest.mark.parametrize("n, edges, error", [
+    # more than (n/2) log2 n edges: no subgraph of a hypercube has them
+    (40, [(i, 20 + j) for i in range(20) for j in range(20)], "edge relation is not transitive"),
+    # an edge between two leaves at one depth closes an odd cycle
+    (255, generate("tree", [2, 7]).edges + [(127, 254)], "graph has an odd cycle"),
+    (3, [(0, 1), (1, 2), (0, 2)], "graph has an odd cycle"),
+])
+def test_search_refusal_that_proves_no_partial_cube_skips_the_fallback(n, edges, error, monkeypatch):
+    want = breadth_first_reference(MedianGraph(n, edges))[0]
+    monkeypatch.setattr(median_core, "_wall_codes", lambda *args: pytest.fail("_wall_codes ran"))
+    g = MedianGraph(n, edges)
+    assert g._codes is False and g.wall_codes() is None
+    assert np.array_equal(g.dist, want)
+    with pytest.raises(NotMedian, match=error):
+        rank(g)
 
 
 SETTINGS = settings(
@@ -696,7 +714,11 @@ def test_single_search_falls_back_without_gates(g):
     if codes is None or g.n % 2 == 0 and len(g.edges) == g.n:
         # no partial cube, or an even cycle: some wall's far side has
         # two vertices nearest 0, and the check refuses the codes
-        assert g._codes is None
+        assert not g._codes
+    # an edge within a breadth-first level closes an odd cycle, which
+    # proves no partial cube: False, which wall_codes() keeps
+    ea, eb = g.edge_array.T
+    assert (g._codes is False) == bool((dist[0, ea] == dist[0, eb]).any())
     assert g.dist.dtype == dist.dtype and np.array_equal(g.dist, dist)
     got = g.wall_codes()
     assert (got is None) == (codes is None)
