@@ -610,8 +610,7 @@ class CoarseWitnessProvider:
             raise ValueError(f"t {self.t} is below 1")
         self.r_floor = int(r_floor)
         self.params = _params(inst)
-        self._deep: dict[tuple[int, int], int] = {}
-        self._sets: dict[tuple[int, int, int], frozenset[int]] = {}
+        self._endpoints: dict[int, np.ndarray] = {}
 
     @property
     def distance_table(self) -> np.ndarray:
@@ -628,33 +627,29 @@ class CoarseWitnessProvider:
         needed = _ceil_frac((3 * p.K * l + p.H0) / self.t)
         return max(needed, self.r_floor)
 
-    def _deep_point(self, y: int, r: int) -> int:
-        key = (y, r)
-        h = self._deep.get(key)
-        if h is None:
-            h = find_deep_point(
-                self.inst, y, self.basepoint, r, self.t, self.params.lam
-            )
-            if h is None:
-                raise NotFound(
-                    f"no deep point for ({y},{self.basepoint}) at scale {r}",
-                    y=y, r=r, t=self.t,
-                )
-            self._deep[key] = h
-        return h
+    def _endpoint_row(self, l: int) -> np.ndarray:
+        """The first deep point of (y, basepoint) at scale(l) for every
+        point y, -1 where there is none; one row per scale."""
+        r = self.scale(l)
+        row = self._endpoints.get(r)
+        if row is None:
+            deep = (find_deep_point(self.inst, y, self.basepoint, r, self.t, self.params.lam)
+                    for y in range(self.inst.n))
+            row = self._endpoints[r] = np.array([-1 if h is None else h for h in deep], dtype=np.intp)
+        return row
 
     def sets(self, x: int, k: int, l: int) -> frozenset[int]:
+        """The endpoints of the ball of radius k about x; NotFound for
+        its first point without a deep point."""
         if not (1 <= k <= 3 * l):
             raise ValueError(f"radius index {k} outside 1..{3 * l}")
         self.inst.check_points(x=x)
-        key = (x, k, l)
-        s = self._sets.get(key)
-        if s is None:
-            r = self.scale(l)
-            near = self.inst.nums[x] <= self.inst.threshold(k)
-            s = frozenset(self._deep_point(y, r) for y in np.flatnonzero(near).tolist())
-            self._sets[key] = s
-        return s
+        ball = np.flatnonzero(self.inst.nums[x] <= self.inst.threshold(k))
+        ends = self._endpoint_row(l)[ball]
+        if (ends < 0).any():
+            y, r = int(ball[np.argmax(ends < 0)]), self.scale(l)
+            raise NotFound(f"no deep point for ({y},{self.basepoint}) at scale {r}", y=y, r=r, t=self.t)
+        return frozenset(ends.tolist())
 
 
 def discover_deep_scale(inst: CoarseMedianInstance, t: int, pairs,

@@ -811,9 +811,8 @@ def cmd_propa(args: argparse.Namespace) -> int:
     if args.provider == "cat0":
         provider = Cat0WitnessProvider(space, args.basepoint)
     else:
-        provider = CoarseWitnessProvider(
-            space, args.basepoint, t=args.t, r_floor=args.r or 0
-        )
+        coarse_median.estimate_params(space, budget=args.budget, seed=args.seed)
+        provider = CoarseWitnessProvider(space, args.basepoint, t=args.t, r_floor=args.r or 0)
     sample = eligible_sample(
         provider, max(args.n_list), limit=args.sample, seed=args.seed
     )
@@ -919,9 +918,7 @@ def cmd_deep_point(args: argparse.Namespace) -> int:
     inst = _as_instance(load_input(args.input))
     _check_vertex("--from", args.src, inst.n)
     _check_vertex("--to", args.dst, inst.n)
-    if inst.params is None:
-        coarse_median.estimate_params(inst, budget=args.budget, seed=args.seed)
-    params = inst.params
+    params = coarse_median.estimate_params(inst, budget=args.budget, seed=args.seed)
     scales = [args.r] if args.r is not None else list(range(1, 17))
     found = None
     used = None
@@ -978,12 +975,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_input=True):
+    def common(sp, needs_input=True, seed=False, fit=False):
+        # --seed where a command draws at random, --budget too where it
+        # fits the coarse constants
         if needs_input:
             sp.add_argument("--input", required=True)
         sp.add_argument("--output")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--budget", type=int, default=200_000)
+        if seed or fit:
+            sp.add_argument("--seed", type=int, default=0)
+        if fit:
+            sp.add_argument("--budget", type=int, default=200_000)
 
     def scale(sp):
         sp.add_argument("--t", type=int, default=1)
@@ -992,7 +993,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gen", help="write a generated graph or instance")
     sp.add_argument("kind", choices=GENERATORS)
     sp.add_argument("params", type=int, nargs="*")
-    common(sp, needs_input=False)
+    common(sp, needs_input=False, seed=True)
 
     for name in ("validate", "hyperplanes", "rank"):
         common(sub.add_parser(name))
@@ -1010,17 +1011,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", dest="m_list", type=_int_list, default="1")
     sp.add_argument("--sample", type=int)
     scale(sp)
-    common(sp)
+    common(sp, fit=True)
 
     sp = sub.add_parser("coarse-check", help="parameter report and lemma sweeps")
     sp.add_argument("--sample", type=int)
-    common(sp)
+    common(sp, fit=True)
 
     sp = sub.add_parser("deep-point", help="search one deep point")
     sp.add_argument("--from", dest="src", type=int, required=True)
     sp.add_argument("--to", dest="dst", type=int, required=True)
     scale(sp)
-    common(sp)
+    common(sp, fit=True)
 
     return parser
 
@@ -1029,7 +1030,7 @@ def _check_args(args: argparse.Namespace) -> None:
     """The refusals of flag values that argparse does not make, in a
     fixed order; a command passes each check of a flag it lacks."""
     given = vars(args)
-    if args.budget <= 0:
+    if given.get("budget", 1) <= 0:
         raise ValueError("budget must be positive")
     if min(given.get("n_list", []) + given.get("m_list", []), default=1) < 1:
         raise ValueError("--n and --m entries must be at least 1")

@@ -21,9 +21,10 @@ gated: its vertex nearest 0 has one parent (neighbour nearer 0), across
 the wall, and its other vertices each have a parent on that side.  So
 in one breadth-first search from 0 a vertex with one parent opens a
 wall and any other takes the OR of its parents' codes.  An exact check
-makes this safe on any input; a graph it refuses gets its codes from a
-search from every vertex.  The n x n distance table is built only when
-a reader asks for it.  Vertex sets are fixed-width bitsets.
+makes this safe on any input; a graph it refuses gets its codes from the
+edge splits of a search from every vertex, under the same check.  The
+n x n distance table is built only when a reader asks for it.  Vertex
+sets are fixed-width bitsets.
 """
 
 from __future__ import annotations
@@ -237,79 +238,29 @@ def _split_keys(dist: np.ndarray, ends: np.ndarray):
     return keys, first[by_edge], inverse
 
 
-def _wall_codes(dist: np.ndarray, ends: np.ndarray) -> WallCodes | None:
-    """Codes from one split per row of ``ends``, or None when their
-    Hamming distances differ from ``dist`` somewhere (not a partial cube)."""
-    n = dist.shape[0]
-    if not len(ends):
-        return WallCodes(np.zeros((1, n), dtype=np.uint64), np.zeros(0, dtype=np.intp), 0)
-    ea, eb = ends.T
-    _, lead, edge_wall = _split_keys(dist, ends)  # walls in order of their first edge
-    count = len(lead)
-    plus = np.empty((n, count), dtype=bool)
-    step = max(1, _BLOCK_WORDS // n)
-    for lo in range(0, count, step):
-        ends_of = lead[lo:lo + step]
-        plus[:, lo:lo + step] = dist[:, ea[ends_of]] >= dist[:, eb[ends_of]]
-    words = -(-count // 64)
-    raw = np.zeros((n, 8 * words), dtype=np.uint8)
-    raw[:, : (count + 7) // 8] = np.packbits(plus, axis=1, bitorder="little")
-    planes = np.ascontiguousarray(raw.view("<u8").T)
-    step = max(1, _BLOCK_WORDS // (n * words))
-    for lo in range(0, n, step):
-        ham = np.bitwise_count(planes[:, lo:lo + step, None] ^ planes[:, None, :]).sum(axis=0)
-        if not np.array_equal(ham, dist[lo:lo + step]):
-            return None
-    return WallCodes(planes, edge_wall, count)
-
-
-def _single_search_codes(ends: np.ndarray, indptr: np.ndarray, nbr: np.ndarray,
-                         slot_edge: np.ndarray) -> WallCodes | bool | None:
-    """Wall codes from the breadth-first level of each vertex seen from
-    0, by the parent rule of the module docstring, at any number of
-    walls; False when the graph is shown to be no partial cube, None
-    when another check fails.  The Hamming distance of the codes
-    is the graph distance exactly when every edge flips one bit and
-    every vertex v has, for each u != v, an edge at v flipping a bit in
-    which the codes of u and v differ: the first makes the code distance
-    move by 1 along each edge, so it is at most the graph distance, and
-    the second gives a walk from v to u that long.  Each bit is then one
-    wall, put in _wall_codes's order.
+def _cube_codes(code: np.ndarray, count: int, ends: np.ndarray, indptr: np.ndarray,
+                nbr: np.ndarray, slot_edge: np.ndarray) -> WallCodes | None:
+    """The wall codes of ``code``, one row of words per vertex holding
+    bits 0..count-1 in any order and orientation, each flipped on some
+    edge; None when their Hamming distance is not the graph distance.
+    It is exactly when every edge flips one bit and every vertex v has,
+    for each u != v, an edge at v flipping a bit in which the codes of u
+    and v differ: the first makes the code distance move by 1 along each
+    edge, so it is at most the graph distance, and the second gives a
+    walk from v to u that long.  Each bit is then one wall, put in order
+    of its first dual edge, with its plus side at that edge's larger end.
 
     The second check is packed: the far sides from v of the walls at v,
     as vertex bitsets, must cover every vertex but v.  They are taken in
     the neighbour layout (MedianGraph._neighbours), in vertex blocks of
     at most _BLOCK_WORDS words."""
-    level = _levels(indptr, nbr)
-    n = len(level)
+    n, words = code.shape
     ea, eb = ends.T
-    # an edge within a level closes an odd cycle, and an n-vertex
-    # subgraph of a hypercube has at most (n/2) log2 n edges
-    if (level[ea] == level[eb]).any() or 2 * len(ends) > n * math.log2(n):
-        return False
-    down = level[ea] < level[eb]
-    parent, child = np.where(down, ea, eb), np.where(down, eb, ea)
-    opens = np.flatnonzero(np.bincount(child, minlength=n) == 1)
-    count = len(opens)
-    words = max(1, -(-count // 64))
-    code = np.zeros((n, words), dtype=np.uint64)
-    flat = code.reshape(-1)  # one index per word: ufunc.at is fast only on one axis
-    bits = np.arange(count)
-    flat[opens * words + bits // 64] = np.left_shift(np.uint64(1), (bits % 64).astype(np.uint64))
-    order = np.argsort(level[child])
-    parent, child = parent[order], child[order]
-    cut = np.searchsorted(level[child], np.arange(1, level.max() + 2)) * words
-    into = (child[:, None] * words + np.arange(words)).reshape(-1)
-    out_of = (parent[:, None] * words + np.arange(words)).reshape(-1)
-    for lo, hi in zip(cut[:-1], cut[1:]):
-        np.bitwise_or.at(flat, into[lo:hi], flat[out_of[lo:hi]])
     flips = code[ea] ^ code[eb]
     if (np.bitwise_count(flips).sum(axis=1) != 1).any():
         return None
     pos = np.flatnonzero(flips)  # one word per edge
     bit = pos % words * 64 + np.bitwise_count(flips.reshape(-1)[pos] - np.uint64(1))
-    # walls in order of their first dual edge, plus side on its larger
-    # end; every opener's bit flips on the edge to its one parent
     lead = np.full(count, len(bit))
     np.minimum.at(lead, bit, np.arange(len(bit)))
     by_edge = np.argsort(lead)
@@ -340,6 +291,49 @@ def _single_search_codes(ends: np.ndarray, indptr: np.ndarray, nbr: np.ndarray,
             return None
         lo = hi
     return codes
+
+
+def _wall_codes(dist: np.ndarray, ends: np.ndarray, indptr: np.ndarray, nbr: np.ndarray,
+                slot_edge: np.ndarray) -> WallCodes | None:
+    """The codes of the distinct splits of the rows of ``ends``, one bit
+    per split, through _cube_codes: for a graph the single search
+    refused."""
+    keys, lead, _ = _split_keys(dist, ends)
+    code = _transpose_bits(keys[lead].view("<u8"), len(dist))
+    return _cube_codes(code, len(lead), ends, indptr, nbr, slot_edge)
+
+
+def _single_search_codes(ends: np.ndarray, indptr: np.ndarray, nbr: np.ndarray,
+                         slot_edge: np.ndarray) -> WallCodes | bool | None:
+    """Wall codes from the breadth-first level of each vertex seen from
+    0, by the parent rule of the module docstring, at any number of
+    walls, checked by _cube_codes; False when the graph is shown to be
+    no partial cube, None when the check fails."""
+    level = _levels(indptr, nbr)
+    n = len(level)
+    ea, eb = ends.T
+    # an edge within a level closes an odd cycle, and an n-vertex
+    # subgraph of a hypercube has at most (n/2) log2 n edges
+    if (level[ea] == level[eb]).any() or 2 * len(ends) > n * math.log2(n):
+        return False
+    down = level[ea] < level[eb]
+    parent, child = np.where(down, ea, eb), np.where(down, eb, ea)
+    opens = np.flatnonzero(np.bincount(child, minlength=n) == 1)
+    count = len(opens)
+    words = max(1, -(-count // 64))
+    code = np.zeros((n, words), dtype=np.uint64)
+    flat = code.reshape(-1)  # one index per word: ufunc.at is fast only on one axis
+    bits = np.arange(count)
+    flat[opens * words + bits // 64] = np.left_shift(np.uint64(1), (bits % 64).astype(np.uint64))
+    order = np.argsort(level[child])
+    parent, child = parent[order], child[order]
+    cut = np.searchsorted(level[child], np.arange(1, level.max() + 2)) * words
+    into = (child[:, None] * words + np.arange(words)).reshape(-1)
+    out_of = (parent[:, None] * words + np.arange(words)).reshape(-1)
+    for lo, hi in zip(cut[:-1], cut[1:]):
+        np.bitwise_or.at(flat, into[lo:hi], flat[out_of[lo:hi]])
+    # every opener's bit flips on the edge to its one parent
+    return _cube_codes(code, count, ends, indptr, nbr, slot_edge)
 
 
 def _distinct(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -474,7 +468,7 @@ class MedianGraph:
             raise ValueError("graph is not connected")
         self.edge_array = np.stack(np.divmod(key, self.n), axis=1)
         self.edges: list[tuple[int, int]] = list(zip(*self.edge_array.T.tolist()))
-        # False: not a partial cube; None: the search's checks left it to _wall_codes
+        # False: not a partial cube; None: _cube_codes refused the search's codes, left to _wall_codes
         self._codes: WallCodes | bool | None = _single_search_codes(self.edge_array, *self._neighbours)
         self._interval_cache: dict[tuple[int, int], int] = {}
         self._median_table: np.ndarray | None = None
@@ -620,7 +614,7 @@ class MedianGraph:
         """Sign codes of the walls, or None when the graph is not a
         partial cube (and so not median)."""
         if self._codes is None:
-            self._codes = _wall_codes(self.dist, self.edge_array) or False
+            self._codes = _wall_codes(self.dist, self.edge_array, *self._neighbours) or False
         return self._codes or None
 
     def _majority_blocks(self, codes: WallCodes):

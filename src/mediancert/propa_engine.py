@@ -16,13 +16,15 @@ evaluated in floating point, for display.
 Row arrays.  A level reads the sets of a center sample once into a
 ``uint64`` array rows[i, k, :] (centers x (3n+1) x words) with a label
 array ``points``: bit u of row (i, k) stands for points[u] in
-S(sample[i], k, n); row 0 is empty.  ``Cat0WitnessProvider.witness_rows``
-fills it in array ops, with one column per distinct endpoint of the 3n
-cube steps (the only vertices a set can hold: 36 of 900 at n = 8 on the
-30x30 grid); any other provider has each set read through ``sets``, x by
-x and k by k, and packed once, column u standing for point u.  Set
-sizes, intersections and the nesting tests are bit counts and ANDs over
-these words, whatever the labels.
+S(sample[i], k, n); row 0 is empty.  A set is the image of a ball under
+the level's ``_endpoint_row(n)``: the end of 3n cube steps toward the
+basepoint (cat0), or the first deep point of (y, basepoint) at the
+level's scale (coarse).  ``witness_rows`` fills the array of any such
+provider, one column per distinct endpoint (36 of 900 at n = 8 on the
+30x30 grid); a provider without one has each set read through ``sets``
+and packed once, column u standing for point u.  Set sizes,
+intersections and the nesting tests are bit counts and ANDs over these
+words, whatever the labels.
 
 Pair arrays.  The center pairs of a level are sample positions (i, j, d)
 with i < j and integer distance d in 1..n, in the order of a loop over
@@ -196,32 +198,6 @@ class Cat0WitnessProvider:
             self._sets[key] = s
         return s
 
-    def witness_rows(self, centers: list[int], l: int) -> tuple[np.ndarray, np.ndarray]:
-        """The sets of ``sets`` for every center and k = 1..3l as a row
-        array over the distinct endpoints, and those endpoints (see the
-        module docstring): z is in S(x, k, l) when the vertex of z's
-        preimage under the endpoint row nearest to x lies within k of x.
-        No set is empty: x's own endpoint is in each."""
-        g = self.graph
-        for x in centers:
-            if not 0 <= x < g.n:
-                raise ValueError(f"center {x} out of range 0..{g.n - 1}")
-        end = self._endpoint_row(l)
-        order = np.argsort(end, kind="stable")
-        ends = end[order]
-        starts = np.flatnonzero(np.r_[True, ends[1:] != ends[:-1]])
-        words = -(-len(starts) // 64)
-        rows = np.zeros((len(centers), 3 * l + 1, words), dtype=np.uint64)
-        step = max(1, _BLOCK // g.n)
-        for lo in range(0, len(centers), step):
-            block = centers[lo:lo + step]
-            near = np.minimum.reduceat(g.dist[block][:, order], starts, axis=1)
-            hit = np.zeros((len(block), 64 * words), dtype=bool)
-            for k in range(1, 3 * l + 1):
-                hit[:, :len(starts)] = near <= k
-                rows[lo:lo + step, k] = np.packbits(hit, axis=1, bitorder="little").view("<u8")
-        return rows, ends[starts]
-
 
 def _mask(s) -> int:
     """A witness set as an int bitmask: a VertexSet's own mask, or a
@@ -235,13 +211,45 @@ def _bits(words: np.ndarray) -> np.ndarray:
     return np.unpackbits(raw, axis=-1, bitorder="little")
 
 
+def witness_rows(provider, centers: list[int], l: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sets S(x, k, l) for every center and k = 1..3l as a row array
+    over the distinct endpoints, and those endpoints (see the module
+    docstring): z is in S(x, k, l) when the point of z's preimage under
+    ``provider._endpoint_row(l)`` nearest to x lies within k of x, so x's
+    own endpoint is in each.  A point without one, -1 in the row, is no
+    column: the first set that would hold it, by center and then k, is
+    read through ``sets``, which raises the provider's error."""
+    table, den = provider.distance_table, provider.den
+    for x in centers:
+        if not 0 <= x < len(table):
+            raise ValueError(f"center {x} out of range 0..{len(table) - 1}")
+    end = provider._endpoint_row(l)
+    order = np.argsort(end, kind="stable")
+    ends = end[order]
+    starts = np.flatnonzero(np.r_[True, ends[1:] != ends[:-1]])
+    lost = int(ends[0] < 0)  # the -1s sort first, as one group
+    words = -(-(len(starts) - lost) // 64)
+    rows = np.zeros((len(centers), 3 * l + 1, words), dtype=np.uint64)
+    step = max(1, _BLOCK // len(table))
+    for lo in range(0, len(centers), step):
+        block = centers[lo:lo + step]
+        near = np.minimum.reduceat(table[block][:, order], starts, axis=1)
+        bad = np.flatnonzero(near[:, 0] <= 3 * l * den) if lost else []
+        if len(bad):
+            provider.sets(block[bad[0]], max(1, -(-int(near[bad[0], 0]) // den)), l)
+        hit = np.zeros((len(block), 64 * words), dtype=bool)
+        for k in range(1, 3 * l + 1):
+            hit[:, :len(starts) - lost] = near[:, lost:] <= k * den
+            rows[lo:lo + step, k] = np.packbits(hit, axis=1, bitorder="little").view("<u8")
+    return rows, ends[starts[lost:]]
+
+
 def _row_array(provider, centers: list[int], n: int) -> tuple[np.ndarray, np.ndarray]:
     """The level-n row array of the centers and its labels (see the
-    module docstring).  Sets are read x by x and k by k; an empty one
-    raises where it is read."""
-    own = getattr(provider, "witness_rows", None)
-    if own is not None:
-        return own(centers, n)
+    module docstring).  Without an endpoint row, sets are read x by x and
+    k by k; an empty one raises where it is read."""
+    if hasattr(provider, "_endpoint_row"):
+        return witness_rows(provider, centers, n)
     masks = []
     for x in centers:
         for k in range(1, 3 * n + 1):

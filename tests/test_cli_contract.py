@@ -37,10 +37,10 @@ INPUTS = {
 # optional integer flags of each command; ncp and deep-point also
 # always take --from and --to
 FLAGS = {
-    "validate": ["seed", "budget"],
-    "hyperplanes": ["seed", "budget"],
-    "rank": ["seed", "budget"],
-    "ncp": ["seed", "budget"],
+    "validate": [],
+    "hyperplanes": [],
+    "rank": [],
+    "ncp": [],
     "propa": ["basepoint", "n", "m", "sample", "t", "r", "seed", "budget"],
     "coarse-check": ["sample", "seed", "budget"],
     "deep-point": ["t", "r", "seed", "budget"],
@@ -68,7 +68,9 @@ def argvs(draw):
         argv += [f"--from={draw(values)}", f"--to={draw(values)}"]
     if command == "propa":
         argv.append(f"--provider={draw(st.sampled_from(['cat0', 'coarse']))}")
-    for flag in draw(st.sets(st.sampled_from(FLAGS[command]))):
+    # hypothesis refuses to sample from an empty list
+    flags = st.sets(st.sampled_from(FLAGS[command])) if FLAGS[command] else st.just(set())
+    for flag in draw(flags):
         if flag in ("n", "m"):
             value = ",".join(map(str, draw(st.lists(values, min_size=1, max_size=2))))
         else:
@@ -90,6 +92,22 @@ def argvs(draw):
 def test_cli_ends_in_result_or_one_error(files, case):
     argv, name = case
     run_contract(argv + ["--input", files[name]])
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--seed", "0"],
+    ["hyperplanes", "--budget", "5"],
+    ["rank", "--seed", "1", "--budget", "1"],
+    ["ncp", "--from", "0", "--to", "1", "--seed", "0"],
+    ["gen", "grid", "2", "2", "--budget", "1"],
+])
+def test_flags_a_command_does_not_read_are_refused(files, argv):
+    # each command declares --seed and --budget only where it reads them
+    if argv[0] != "gen":
+        argv = argv + ["--input", files["grid"]]
+    payload = run_contract(argv)
+    assert payload["error"] == "invalid-input"
+    assert "unrecognized arguments: --" in payload["message"]
 
 
 def run_contract(argv) -> dict | None:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mediancert import harness_cli
+from mediancert import coarse_median, harness_cli
 from mediancert.coarse_median import (
     CoarseMedianInstance,
     coarsened_grid,
@@ -1063,7 +1063,7 @@ FORMER_DEFAULTS = {
     (["coarse-check", "--input", "{inst}"], ["--seed", "--budget"]),
     (["deep-point", "--from", "0", "--to", "12", "--input", "{inst}"],
      ["--t", "--seed", "--budget"]),
-    (["gen", "median-closure", "5", "6"], ["--seed", "--budget"]),
+    (["gen", "median-closure", "5", "6"], ["--seed"]),
 ])
 def test_defaults_equal_former_defaults(tmp_path, argv, flags):
     paths = {"grid": tmp_path / "g.graph", "inst": tmp_path / "c.inst"}
@@ -1075,6 +1075,18 @@ def test_defaults_equal_former_defaults(tmp_path, argv, flags):
     assert parser.parse_args(argv) == parser.parse_args(explicit)
     left_out, given = run_cli(argv), run_cli(explicit)
     assert left_out[0] == 0 and left_out == given
+
+
+@pytest.mark.parametrize("flags, budget, seed", [([], 200_000, 0), (["--budget", "7", "--seed", "3"], 7, 3)])
+def test_cli_propa_coarse_fits_with_budget_and_seed(tmp_path, flags, budget, seed):
+    # the fit reads --budget and --seed, as coarse-check's and
+    # deep-point's do; the certificate reads only K, H0 and lam
+    inst = tmp_path / "c.inst"
+    inst.write_text(write_instance_text(coarsened_grid(2, 2)))
+    with mock.patch.object(coarse_median, "estimate_params", wraps=coarse_median.estimate_params) as fit:
+        code, _ = run_cli(["propa", "--provider", "coarse", "--input", str(inst), *flags])
+    assert code == 0
+    assert [call.kwargs for call in fit.call_args_list] == [{"budget": budget, "seed": seed}]
 
 
 @pytest.mark.parametrize(

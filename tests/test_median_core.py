@@ -467,17 +467,37 @@ def test_graph_rejects_bad_edges():
 # -- distances from one-word codes ---------------------------------------
 
 
-def breadth_first_reference(g):
+def breadth_first_distances(g):
     """The distance table by scipy's breadth-first search over the edge
-    list, and the wall codes read off it."""
+    list."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
     ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
     adj = csr_matrix((np.ones(2 * len(ends)), (np.r_[ends[:, 0], ends[:, 1]], np.r_[ends[:, 1], ends[:, 0]])),
                      shape=(g.n, g.n))
-    dist = dijkstra(adj, unweighted=True).astype(np.int32)
-    return dist, median_core._wall_codes(dist, ends)
+    return dijkstra(adj, unweighted=True).astype(np.int32)
+
+
+def breadth_first_reference(g):
+    """The breadth-first distance table, and the wall codes read off it:
+    one wall per distinct split {v : d(v, a) < d(v, b)} of an edge (a, b)
+    up to complement, in order of its first edge, with its plus side at
+    that edge's larger end; None when the Hamming distance of the codes
+    differs from the table somewhere."""
+    dist = breadth_first_distances(g)
+    ea, eb = g.edge_array.T
+    near = dist[:, ea] < dist[:, eb]  # column e: the split of edge e
+    _, lead, edge_wall = np.unique((near ^ near[0]).T, axis=0, return_index=True, return_inverse=True)
+    by_edge = np.argsort(lead)
+    wall_of = np.empty_like(by_edge)
+    wall_of[by_edge] = np.arange(len(lead))
+    plus = ~near[:, lead[by_edge]]
+    if not np.array_equal((plus[:, None, :] != plus[None]).sum(axis=2), dist):
+        return dist, None
+    raw = np.zeros((g.n, 8 * max(1, -(-len(lead) // 64))), dtype=np.uint8)  # a word at 0 walls
+    raw[:, :(len(lead) + 7) // 8] = np.packbits(plus, axis=1, bitorder="little")
+    return dist, median_core.WallCodes(np.ascontiguousarray(raw.view("<u8").T), wall_of[edge_wall], len(lead))
 
 
 def one_word_search_reference(ends, level):
@@ -609,7 +629,7 @@ def test_cover_check_in_vertex_blocks(label, n, edges, single, monkeypatch):
     (3, [(0, 1), (1, 2), (0, 2)], "graph has an odd cycle"),
 ])
 def test_search_refusal_that_proves_no_partial_cube_skips_the_fallback(n, edges, error, monkeypatch):
-    want = breadth_first_reference(MedianGraph(n, edges))[0]
+    want = breadth_first_distances(MedianGraph(n, edges))
     monkeypatch.setattr(median_core, "_wall_codes", lambda *args: pytest.fail("_wall_codes ran"))
     g = MedianGraph(n, edges)
     assert g._codes is False and g.wall_codes() is None
@@ -827,7 +847,7 @@ def test_fallback_table_fills_in_row_blocks():
     assert g._codes is None
     assert peak < 32 * 2**20, peak
     assert table.dtype == np.int32 and table[0].max() == 1024 and table.max() == 1024
-    assert np.array_equal(g.dist[1000], breadth_first_reference(g)[0][1000])
+    assert np.array_equal(g.dist[1000], breadth_first_distances(g)[1000])
 
 
 def test_single_search_table_fits_in_32_mib():
@@ -843,4 +863,4 @@ def test_single_search_table_fits_in_32_mib():
     assert g._codes is not None and g._codes.count == 2046
     assert peak < 32 * 2**20, peak
     assert table.dtype == np.int32 and table[0].max() == 10 and table.max() == 20
-    assert np.array_equal(g.dist[1000], breadth_first_reference(g)[0][1000])
+    assert np.array_equal(g.dist[1000], breadth_first_distances(g)[1000])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mediancert.coarse_median import CoarseMedianInstance, CoarseWitnessProvider, coarsened_grid
+from mediancert.coarse_median import CoarseMedianInstance, CoarseParams, CoarseWitnessProvider, coarsened_grid
 from mediancert.errors import ConditionViolation, EmptySet, MedianCertError
 from mediancert.harness_cli import generate, main
 from mediancert.median_core import MedianGraph, VertexSet
@@ -21,12 +21,14 @@ from mediancert.propa_engine import (
     PropACertificate,
     SparseL1Vector,
     _check_pair_chain,
+    _mask,
     certify,
     chi,
     chi_l1_identity,
     eligible_sample,
     variation,
     verify_conditions,
+    witness_rows,
     xi,
 )
 
@@ -683,34 +685,76 @@ def test_chain_checks_follow_from_nesting(case):
             assert (1 - sup_bound / 2) ** n * report.p_n ** (2 * m) >= 1
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+def tight_coarse_grid(w, h):
+    """The coarsened_grid(w, h) metric with mu = 0, rank 0 and (K, H0,
+    gamma, lam) = (1, 0, 0, 0) set by hand: at the scale of level 1 some
+    points have no deep point toward 0."""
+    grid = coarsened_grid(w, h)
+    inst = CoarseMedianInstance(grid.dist_int, np.zeros((grid.n,) * 3, dtype=np.int32), d=0)
+    inst.params = CoarseParams(*map(Fraction, (1, 0, 0, 0)))
+    return inst
+
+
+def packed_sets(prov, centers, l):
+    """Each set of the centers as an int mask, read x by x and k by k."""
+    return [[_mask(prov.sets(x, k, l)) for k in range(1, 3 * l + 1)] for x in centers]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data())
 def test_witness_rows_match_sets(data):
-    # sets() and witness_rows() are both public: every (x, k) agrees
-    # once the row columns are mapped to their vertices
-    if data.draw(st.booleans()):
+    # the one row builder against sets(), which both providers make
+    # public: every (x, k) agrees once the row columns are mapped to
+    # their points, or both raise the same error
+    kind = data.draw(st.sampled_from(["grid", "tree", "coarse-grid", "tight coarse-grid"]))
+    if kind == "grid":
         g = generate("grid", [data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))])
-    else:
+    elif kind == "tree":
         g = generate("tree", [data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5))])
-    prov = Cat0WitnessProvider(g, data.draw(st.integers(0, g.n - 1)))
+    else:
+        w, h = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        g = tight_coarse_grid(w, h) if kind == "tight coarse-grid" else coarsened_grid(w, h)
+    basepoint = data.draw(st.integers(0, g.n - 1))
+    if isinstance(g, MedianGraph):
+        prov = Cat0WitnessProvider(g, basepoint)
+    else:
+        prov = CoarseWitnessProvider(g, basepoint, t=data.draw(st.integers(1, 3)))
     l = data.draw(st.integers(1, 4))
     centers = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n))
-    rows, points = prov.witness_rows(centers, l)
-    # one column per distinct endpoint of the 3l cube steps
-    assert np.array_equal(points, np.unique(prov._endpoint_row(l)))
+    got = outcome(witness_rows, prov, centers, l)
+    want = outcome(packed_sets, prov, centers, l)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    rows, points = got
+    # one column per distinct endpoint of the level
+    end = prov._endpoint_row(l)
+    assert np.array_equal(points, np.unique(end[end >= 0]))
     assert rows.shape == (len(centers), 3 * l + 1, -(-len(points) // 64))
     assert not rows[:, 0].any()
-    for i, x in enumerate(centers):
+    for i in range(len(centers)):
         for k in range(1, 3 * l + 1):
             bits = int.from_bytes(rows[i, k].astype("<u8").tobytes(), "little")
             mask = sum(1 << int(points[u]) for u in range(len(points)) if bits >> u & 1)
-            assert bits >> len(points) == 0 and mask == prov.sets(x, k, l).mask
+            assert bits >> len(points) == 0 and mask == want[i][k - 1]
+
+
+@pytest.mark.parametrize("centers, y", [([40, 0], 40), (list(range(41)), 31)])
+def test_coarse_certify_names_the_first_point_without_a_deep_point(centers, y):
+    # by center, then k, then y: the error of the first set that holds it
+    prov = CoarseWitnessProvider(tight_coarse_grid(4, 4), 0)
+    with pytest.raises(MedianCertError) as err:
+        certify(prov, [1, 2], [1], centers)
+    assert err.value.report() == {
+        "error": "deep-point-domain", "message": f"no deep point for ({y},0) at scale 3",
+        "y": y, "r": 3, "t": 1,
+    }
 
 
 def test_witness_rows_reject_centers_out_of_range(path13):
     for x in (-1, 13):
         with pytest.raises(ValueError, match=f"center {x} out of range"):
-            path13.witness_rows([4, x], 1)
+            witness_rows(path13, [4, x], 1)
 
 
 def test_cli_propa_coarse_bytes(tmp_path, monkeypatch):
@@ -736,7 +780,7 @@ def test_cli_propa_coarse_bytes(tmp_path, monkeypatch):
     (1, 1, 0, [1, 2]), (2, 2, 0, [2]), (2, 2, 7, [1, 2]), (3, 2, 4, [2, 4]),
 ])
 def test_rows_match_former_code_on_coarse_grid(w, h, basepoint, levels):
-    # frozenset witness sets, packed into rows by the certifier
+    # frozenset witness sets; the certifier builds its rows from the endpoint row
     inst = coarsened_grid(w, h)
     prov = CoarseWitnessProvider(inst, basepoint)
     assert isinstance(prov.sets(0, 1, 1), frozenset)
