@@ -273,9 +273,10 @@ def write_instance_text(inst: CoarseMedianInstance) -> str:
 # file goes to the line reader, the one place that names a bad line, so
 # every message and line number is the line reader's.
 
-# bytes per read of a file, or per slice of a text; _line_blocks rounds
-# them to whole lines
-_READ_BYTES = 1 << 20
+# bytes per read of a file, or per slice of a text, rounded to whole
+# lines by _line_blocks: a block's int64 temporaries are several times
+# its size (a 910 KB file in one 1 MiB block peaked at 15.9 MiB traced)
+_READ_BYTES = 1 << 16
 
 
 def _plain(buf: bytes) -> bool:
@@ -655,9 +656,7 @@ def load_input(path: str):
     (_line_blocks); any other file, and one the bulk path leaves to the
     line reader, is read as text."""
     with open(path, "rb") as fh:
-        # a small file in one small read: a 1 MiB read costs 20 us more
-        size = min(_READ_BYTES, max(1 << 16, os.fstat(fh.fileno()).st_size))
-        blocks = _line_blocks(iter(functools.partial(fh.read, size), b""))
+        blocks = _line_blocks(iter(functools.partial(fh.read, _READ_BYTES), b""))
         first = next(blocks, b"")
         try:
             head = _plain(first) and _header(raw.decode() for raw in io.BytesIO(first))

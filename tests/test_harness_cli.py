@@ -249,7 +249,7 @@ def _tagged_files(draw):
 # reads of 1 byte make a block of every line, reads of 64 bytes one of
 # every few, and a header, "mu explicit" or a tagged line straddles reads
 @settings(max_examples=150, deadline=None)
-@given(_tagged_files(), st.sampled_from([1, 64, 1 << 20]))
+@given(_tagged_files(), st.sampled_from([1, 64, 1 << 16, 1 << 20]))
 def test_bulk_and_line_readers_agree_on_drawn_files(drawn, read_bytes):
     text, canonical = drawn
     graph = text.startswith("vertices")
@@ -280,7 +280,7 @@ def test_bulk_and_line_readers_agree_on_drawn_files(drawn, read_bytes):
 # the file reader in blocks of 1, 7 and 64 bytes and in one block; each
 # file gives what the line reader gives, or its message.  A points line
 # after the "m" lines (the last one counts) keeps n, or changes it.
-@pytest.mark.parametrize("read_bytes", [1, 7, 64, 1 << 20])
+@pytest.mark.parametrize("read_bytes", [1, 7, 64, 1 << 16, 1 << 20])
 @pytest.mark.parametrize("edit, refused", [
     ("none", False), ("no final newline", False), ("points 5 last", False), ("comment", False),
     ("points 4 last", True), ("bad last line", True), ("m line in place of the next", True),
@@ -504,26 +504,38 @@ def test_instance_writer_memory_stays_bounded(c77):
 
 def test_instance_reader_memory_stays_bounded(c77):
     # the reader of a list of str lines through numpy.loadtxt peaked at
-    # 182 MiB here; the bytes reader at 65 MiB, and 24 MiB with its "m"
-    # lines put straight into the table
+    # 182 MiB here; the bytes reader at 65 MiB, 24 MiB with its "m"
+    # lines put straight into the table, and 8.7 MiB in 64 KiB blocks
     inst, text = c77
     back, peak = _traced_peak(lambda: parse_instance_text(text))
     assert np.array_equal(back.mu, inst.mu) and np.array_equal(back.nums, inst.nums)
-    assert peak < 32 * 2**20
+    assert peak < 12 * 2**20
 
 
 def test_instance_file_load_and_fit_memory_stay_bounded(c77, tmp_path):
     # 65.1 MiB and 27.4 MiB when the whole file and then the whole
-    # sample were held at once; 25 MiB and 3.5 MiB in blocks
+    # sample were held at once; 25 MiB and 3.5 MiB in 1 MiB blocks, and
+    # 8.6 MiB for the file in 64 KiB blocks
     inst, text = c77
     path = tmp_path / "c77.inst"
     path.write_text(text)
     back, peak = _traced_peak(lambda: load_input(str(path)))
     assert np.array_equal(back.mu, inst.mu) and np.array_equal(back.nums, inst.nums)
-    assert peak < 32 * 2**20
+    assert peak < 12 * 2**20
     params, peak = _traced_peak(lambda: estimate_params(back))
     assert params == estimate_params(inst)
     assert peak < 12 * 2**20
+
+
+def test_small_instance_file_loads_in_small_blocks(tmp_path):
+    # the 910 KB coarse-grid 4 4 file: 15.9 MiB traced as one 1 MiB
+    # block, 1.6 MiB in 64 KiB blocks
+    inst = coarsened_grid(4, 4)
+    path = tmp_path / "c44.inst"
+    path.write_text(write_instance_text(inst))
+    back, peak = _traced_peak(lambda: load_input(str(path)))
+    assert np.array_equal(back.mu, inst.mu) and np.array_equal(back.nums, inst.nums)
+    assert peak < 4 * 2**20
 
 
 # sha256 of every file the benchmark's set-up writes at full scale, as
